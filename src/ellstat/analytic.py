@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import divisors, factorize, is_prime, phi, phi_star_mu, sigma, tau, valuation
+from .arith import divisors, factorize, is_prime, phi, phi_star_mu, primes_up_to, sigma, tau, valuation
 from .densities import DEFAULT_NORMALIZATION, level_congruence_count
 from .errors import DomainError, InvariantError
 
@@ -270,14 +270,6 @@ def _local_components(p: int, stat: str) -> dict[int, float]:
 # prime-averaged slope constant
 # ----------------------------------------------------------------------
 
-def _rho(m: int) -> int:
-    """Totally multiplicative with rho(l) = -(l^3 - l - 1)."""
-    out = 1
-    for ell, e in factorize(m):
-        out *= (-(ell**3 - ell - 1)) ** e
-    return out
-
-
 @dataclass(frozen=True)
 class SlopeEstimate:
     value: float
@@ -296,41 +288,33 @@ def estimate_average_slope(
     growth (average of the weighted subgroup count over p <= x grows like
     C * log x).
 
-    Truncations: d1 <= x_max and the totally multiplicative expansion of the
-    p-average of the Euler product cut at m <= m_max.  The l | k correction
-    factors are evaluated at their leading term l^(v_l(d1)).  Diagnostic
-    quality only; both truncation levels are echoed in the result.
+    C is the mean over primes p of the log p coefficient H of the "C_local"
+    main term.  H depends on p only through e_l = v_l(p - 1) (its l = p
+    factor tends to 1), and e_l = e has density (l-2)/(l-1) for e = 0 and
+    l^-e for e >= 1, independently across l, so
+
+        C = zeta(2)zeta(3)/zeta(6) * prod_l [ (l-2)/(l-1)
+            + sum_{e >= 1} l^-e sum_x (1 - 1/l) E_l[f 1_x] / (1 + 1/(l(l-1))) ].
+
+    Truncations: primes l <= x_max and e <= m_max; both are echoed in the
+    result.  The product is taken in floating point.
     """
     if stat not in ("s", "c"):
         raise DomainError(f"stat must be 's' or 'c', got {stat!r}")
-    weight = phi if stat == "s" else phi_star_mu
-    tvals = []
-    for d1 in range(1, x_max + 1):
-        inv_prod = 1.0
-        for ell, _ in factorize(d1):
-            inv_prod /= 1 - 1 / (ell * (ell * ell - 1))
-        inner = 0.0
-        for u in divisors(d1):
-            wu = weight(u)
-            if wu == 0:
-                continue
-            ksum = 0.0
-            for k in divisors(d1 * d1 // u):
-                kfac = 1
-                for ell, _ in factorize(k):
-                    kfac *= ell ** valuation(d1, ell)
-                ksum += (phi(k) + (1 if k == 1 else 0)) / k * kfac
-            inner += wu * tau(d1 // u) * ksum
-        tvals.append(inv_prod * inner / d1**3)
-    total = 0.0
-    for m in range(1, m_max + 1):
-        rho_m = _rho(m)
-        acc = 0.0
-        for d1 in range(1, x_max + 1):
-            acc += tvals[d1 - 1] / phi(math.lcm(d1, m))
-        total += acc / rho_m
-    if normalization == "half":
-        total /= 2
+    if normalization not in ("paper", "half"):
+        raise DomainError(f"unknown normalization {normalization!r}")
+    total = _GENERIC_PRODUCT
+    for ell in primes_up_to(x_max):
+        generic = 1 + 1 / (ell * (ell - 1))
+        mean = (ell - 2) / (ell - 1)
+        below = 0.0  # sum over levels x < e, whose law is the same for all e > x
+        for e in range(1, m_max + 1):
+            below += float(_local_moments(ell, e, e - 1, stat)[0])
+            top = float(_local_moments(ell, e, e, stat)[0])
+            mean += ell**-e * (below + top) / generic
+        total *= mean
+    if normalization == "paper":
+        total *= 2
     return SlopeEstimate(total, x_max, m_max, stat)
 
 

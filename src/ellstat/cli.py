@@ -128,13 +128,12 @@ def _sweep_row(args: tuple[int, int]) -> list[str]:
 
 @cli.command("sweep")
 @click.option("--xmax", type=int, required=True)
-@click.option("--stats", default="s,c,tau", show_default=True, help="ignored: all columns are always computed")
 @click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @click.option("--full", "full", is_flag=True, help="unlock xmax beyond the CI budget")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--gnuplot", is_flag=True, help="also write a gnuplot script next to the CSV")
-def cmd_sweep(xmax, stats, threads, out, full, seed, gnuplot) -> None:
+def cmd_sweep(xmax, threads, out, full, seed, gnuplot) -> None:
     """Per-prime averages for all primes 5 <= p <= xmax, one CSV row each."""
     if xmax > _SWEEP_CI_BUDGET and not full:
         raise DomainError(

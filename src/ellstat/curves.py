@@ -2,24 +2,27 @@
 F_p: point counts, group shapes, structure tallies and weighted averages.
 
 The per-model operations (``point_count``, ``group_shape``) are plain scalar
-functions.  ``tally_structures`` processes all p^2 - p nonsingular models of
-one prime at once:
+functions.  ``tally_structures`` covers all p^2 - p nonsingular models of
+one prime through their isomorphism classes:
 
-1. point counts for every (a, b) via one quadratic-character convolution per
-   a-row (cyclic cross-correlation of the value histogram with the character
-   table, done with padded real FFTs and rounded back to exact integers);
-2. models are bucketed by N; buckets whose N admits only d1 = 1 (N squarefree
-   relative to p - 1) are finished immediately;
+1. one representative per class of Ell(p) (about 2p of them: the model
+   (3k, 2k) of each j != 0, 1728 and its quadratic twist, plus
+   gcd(6, p-1) classes at j = 0 and gcd(4, p-1) at j = 1728), each weighted
+   by the number (p-1)/|Aut(E)| of models (u^4 a, u^6 b) in its class;
+2. point counts N = p + 1 + sum_x chi(x^3 + ax + b) and the root counts of
+   the cubic (the affine 2-torsion) for all representatives in one chunked
+   pass; classes are bucketed by N, and buckets whose N admits only d1 = 1
+   (N squarefree relative to p - 1) are finished immediately;
 3. for the remaining buckets the group exponent is found from the lcm of the
-   orders of at most 24 random points per model, all models of a bucket
+   orders of at most 24 random points per class, all classes of a bucket
    advancing in lockstep through vectorized Jacobian-coordinate arithmetic;
-   candidates that fail d1 | p - 1, and every model when p <= 61 (audit
+   candidates that fail d1 | p - 1, and every class when p <= 61 (audit
    mode), fall back to a deterministic full scan over all points.
 
-Weighting: each isomorphism class occupies exactly (p-1)/|Aut(E)| models, so
-model-uniform counting divided by p(p-1) reproduces the 1/|Aut| weighting
-with total mass 1.  No Aut computation and no j = 0/1728 case analysis is
-ever needed.
+Weighting: a class occupies exactly (p-1)/|Aut(E)| models, so adding each
+class's model count and dividing by p(p-1) reproduces the 1/|Aut| weighting
+with total mass 1; the tally counts models, exactly as a model-by-model
+enumeration would.
 
 All randomness is derived from (seed, p, N), so results are reproducible and
 independent of chunking or parallel schedule.
@@ -223,74 +226,54 @@ def group_shape(
 
 
 # ----------------------------------------------------------------------
-# batched point counts
+# isomorphism-class representatives
 # ----------------------------------------------------------------------
 
-def _next_fast_len(n: int) -> int:
-    best = 1
-    while best < n:
-        best <<= 1
-    m = best
-    f5 = 1
-    while f5 < best:
-        f3 = f5
-        while f3 < best:
-            f2 = f3
-            while f2 < n:
-                f2 <<= 1
-            m = min(m, f2)
-            f3 *= 3
-        f5 *= 5
-    return m
+def _primitive_root(p: int) -> int:
+    """Least generator of F_p^*; being a generator, it is also a non-square."""
+    qs = [q for q, _ in factorize(p - 1)]
+    return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
 
 
-def _model_grids(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """N(a, b) and the 2-torsion root count for all models, as (p, p) arrays.
+def _class_representatives(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, B, weight): one model per isomorphism class over F_p, with weight
+    the number (p-1)/|Aut(E)| of models (u^4 A, u^6 B) in that class.
 
-    For fixed a the map b -> sum_x chi(g_a(x) + b) is the cyclic
-    cross-correlation of the histogram of g_a(x) = x^3 + ax with the
-    character table; rows are batched through padded real FFTs.  Magnitudes
-    stay below p^2, so rounding back to integers is exact.  The same
-    histogram read at -b counts the roots of x^3 + ax + b, i.e. the affine
-    2-torsion points (singular entries of both grids are garbage).
+    With g a primitive root: for j != 0, 1728 the model (3k, 2k) of
+    j-invariant j, k = j/(1728 - j), and its quadratic twist (3k g^2, 2k g^3),
+    weight (p-1)/2 each; for j = 0 the models (0, g^i), i < gcd(6, p-1), and
+    for j = 1728 the models (g^i, 0), i < gcd(4, p-1).  The weights sum to
+    p^2 - p.
     """
+    g = _primitive_root(p)
+    js = [j for j in range(1, p) if j != 1728 % p]
+    k = np.array([j * pow(1728 - j, -1, p) % p for j in js], dtype=np.int64)
+    gpow = np.array([pow(g, i, p) for i in range(6)], dtype=np.int64)
+    n0, n1728 = math.gcd(6, p - 1), math.gcd(4, p - 1)
+    A = np.concatenate([3 * k % p, 3 * k * gpow[2] % p, np.zeros(n0, np.int64), gpow[:n1728]])
+    B = np.concatenate([2 * k % p, 2 * k * gpow[3] % p, gpow[:n0], np.zeros(n1728, np.int64)])
+    W = np.concatenate([
+        np.full(2 * len(js), (p - 1) // 2, dtype=np.int64),
+        np.full(n0, (p - 1) // n0, dtype=np.int64),
+        np.full(n1728, (p - 1) // n1728, dtype=np.int64),
+    ])
+    return A, B, W
+
+
+def _counts_and_roots(p: int, A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|E(F_p)| and the number of roots of x^3 + Ax + B for each model."""
     chi, _ = _tables(p)
-    n = _next_fast_len(2 * p - 1)
-    chi_hat = np.fft.rfft(chi, n)
     x = np.arange(p, dtype=np.int64)
     x3 = (x * x % p) * x % p
-    negb = (-np.arange(p)) % p
-    N = np.empty((p, p), dtype=np.int32)
-    roots = np.empty((p, p), dtype=np.int8)
+    N = np.empty(len(A), dtype=np.int64)
+    roots = np.empty(len(A), dtype=np.int64)
     chunk = max(1, (1 << 21) // p)
-    for a0 in range(0, p, chunk):
-        a_blk = np.arange(a0, min(a0 + chunk, p), dtype=np.int64)
-        rows = len(a_blk)
-        vals = (x3[None, :] + (a_blk[:, None] * x[None, :]) % p) % p
-        off = np.arange(rows, dtype=np.int64)[:, None] * p
-        H = np.bincount((vals + off).ravel(), minlength=rows * p).reshape(rows, p)
-        roots[a0 : a0 + rows] = H[:, negb]
-        Hrev = np.concatenate([H[:, :1], H[:, :0:-1]], axis=1)
-        z = np.fft.irfft(np.fft.rfft(Hrev, n, axis=1) * chi_hat[None, :], n, axis=1)
-        cyc = z[:, :p].copy()
-        cyc[:, : p - 1] += z[:, p : 2 * p - 1]
-        N[a0 : a0 + rows] = p + 1 + np.rint(cyc).astype(np.int32)
+    for lo in range(0, len(A), chunk):
+        hi = min(lo + chunk, len(A))
+        f = (x3[None, :] + A[lo:hi, None] * x[None, :] + B[lo:hi, None]) % p
+        N[lo:hi] = p + 1 + chi[f].sum(axis=1)
+        roots[lo:hi] = (f == 0).sum(axis=1)
     return N, roots
-
-
-def _point_count_grid(p: int) -> np.ndarray:
-    return _model_grids(p)[0]
-
-
-def _singular_mask(p: int) -> np.ndarray:
-    a = np.arange(p, dtype=np.int64)
-    fa = (4 * (a * a % p) % p) * a % p
-    gb = 27 * (a * a % p) % p
-    out = np.empty((p, p), dtype=bool)
-    chunk = max(1, (1 << 22) // p)
-    for lo in range(0, p, chunk):
-        out[lo : lo + chunk] = (fa[lo : lo + chunk, None] + gb[None, :]) % p == 0
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -525,24 +508,23 @@ def _assemble_d1(qs, best):
 
 
 def tally_structures(p: int, seed: int = 0) -> StructureTally:
-    """Exact tally of group shapes over all p^2 - p nonsingular models."""
+    """Exact tally of group shapes over all p^2 - p nonsingular models.
+
+    Each isomorphism class is shaped once and counted with its weight, the
+    number of models it occupies.
+    """
     _require_p(p)
-    grid, roots = _model_grids(p)
-    keep = ~_singular_mask(p).ravel()
-    idx = np.flatnonzero(keep)
-    Nv = grid.ravel()[idx]
-    full2 = roots.ravel()[idx] == 3
-    A = idx // p
-    B = idx % p
+    A, B, W = _class_representatives(p)
+    Nv, roots = _counts_and_roots(p, A, B)
+    full2 = roots == 3
     counts: dict[GroupShape, int] = {}
     for Nval in np.unique(Nv):
         sel = np.flatnonzero(Nv == Nval)
         Nval = int(Nval)
         d1s = _d1_for_bucket(p, Nval, A[sel], B[sel], seed, full2[sel])
-        for d1, c in zip(*np.unique(d1s, return_counts=True)):
-            d1 = int(d1)
+        for d1, w in zip(d1s.tolist(), W[sel].tolist()):
             shape = GroupShape(d1, Nval // (d1 * d1))
-            counts[shape] = counts.get(shape, 0) + int(c)
+            counts[shape] = counts.get(shape, 0) + w
     tally = StructureTally(p, counts)
     _validate_tally(tally)
     return tally

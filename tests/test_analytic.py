@@ -305,6 +305,24 @@ def test_estimate_average_slope_stabilizes():
     assert estimate_average_slope(60, 8, "c").value <= estimate_average_slope(60, 8, "s").value
 
 
+def test_estimate_average_slope_is_mean_log_coefficient():
+    # the constant is the mean over primes of the log p coefficient
+    # H = prod_{l != p} (1 - 1/l) E_l[f_l] of the C_local main term
+    ps = [p for p in primes_up_to(2423) if p >= 5]
+    for stat in ("s", "c"):
+        total = 0.0
+        for p in ps:
+            h = _GENERIC_PRODUCT
+            for ell in [p] + [q for q, _ in factorize(p - 1)]:
+                h /= 1 + 1 / (ell * (ell - 1))
+            for ell, e in factorize(p - 1):
+                h *= float(sum(_local_moments(ell, e, x, stat)[0] for x in range(e + 1)))
+            total += h
+        mean = total / len(ps)
+        est = estimate_average_slope(240, 32, stat).value
+        assert abs(est - mean) < 0.005 * mean, (stat, est, mean)
+
+
 def test_bound_envelopes():
     env = bound_envelopes(101)
     assert env["sigma_ratio"] >= 1

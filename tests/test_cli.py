@@ -46,11 +46,19 @@ def test_brute_tally_mass():
 
 
 def test_brute_domain_error_exit_2():
-    for p in ("4", "9", "4001"):  # not prime / not prime / prime but fine
+    for p in ("4", "9"):  # not prime
         code, _, err = run_cli("brute", "--p", p)
-        if p == "4001":
-            continue  # prime, in budget: not an error case
         assert code == 2, (p, err)
+    # prime and within the brute-force limit: not an error case
+    code, out, err = run_cli("brute", "--p", "4001", "--stats", "s,c,tau,one")
+    assert code == 0, err
+    assert out.splitlines() == [
+        "stat,value",
+        "s,17.6369657586",
+        "c,15.4928767808",
+        "tau,13.1692076981",
+        "one,1",
+    ]
 
 
 def test_usage_error_exit_1():

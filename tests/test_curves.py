@@ -14,8 +14,8 @@ from ellstat.curves import (
     tally_structures,
     weighted_average,
     weighted_average_from_tally,
-    _model_grids,
-    _singular_mask,
+    _class_representatives,
+    _counts_and_roots,
 )
 from ellstat.errors import DomainError
 from ellstat.groups import stat_on_shape
@@ -88,18 +88,28 @@ def test_group_shape_full_two_torsion_example():
     assert found
 
 
-def test_grid_matches_per_model():
-    for p in (5, 13, 23):
-        grid, roots = _model_grids(p)
-        sing = _singular_mask(p)
+def test_class_representatives_cover_models():
+    # these primes cover every residue of p mod 12, i.e. every gcd(6, p-1)
+    # and gcd(4, p-1) that sets the j = 0 and j = 1728 classes
+    for p in (5, 7, 11, 13, 17, 19, 23, 37):
+        A, B, W = _class_representatives(p)
+        N, roots = _counts_and_roots(p, A, B)
+        reps = list(zip(A.tolist(), B.tolist()))
+        index = {rep: i for i, rep in enumerate(reps)}
+        assert len(index) == len(reps)
+        hits = [0] * len(reps)
         for a in range(p):
             for b in range(p):
-                is_sing = (4 * a**3 + 27 * b**2) % p == 0
-                assert bool(sing[a, b]) == is_sing
-                if not is_sing:
-                    assert grid[a, b] == point_count(p, a, b)
-                    nroots = sum(1 for x in range(p) if (x**3 + a * x + b) % p == 0)
-                    assert roots[a, b] == nroots
+                if (4 * a**3 + 27 * b**2) % p == 0:
+                    continue
+                orbit = {(pow(u, 4, p) * a % p, pow(u, 6, p) * b % p) for u in range(1, p)}
+                found = [index[m] for m in orbit if m in index]
+                assert len(found) == 1, (p, a, b)
+                hits[found[0]] += 1
+        assert hits == W.tolist()
+        for (a, b), n, r in zip(reps, N.tolist(), roots.tolist()):
+            assert n == point_count(p, a, b)
+            assert r == sum(1 for x in range(p) if (x**3 + a * x + b) % p == 0)
 
 
 def test_sampled_exponent_matches_scan():
