@@ -2,8 +2,10 @@
 F_p: point counts, group shapes, structure tallies and weighted averages.
 
 The per-model operations (``point_count``, ``group_shape``) are plain scalar
-functions.  ``tally_structures`` covers all p^2 - p nonsingular models of
-one prime through their isomorphism classes:
+functions; ``group_shape`` finds the exponent by a deterministic scan of all
+points and is the oracle the tests hold the tally to.  ``tally_structures``
+covers all p^2 - p nonsingular models of one prime through their isomorphism
+classes:
 
 1. one representative per class of Ell(p) (about 2p of them: the model
    (3k, 2k) of each j != 0, 1728 and its quadratic twist, plus
@@ -31,7 +33,6 @@ independent of chunking or parallel schedule.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -163,20 +164,11 @@ def _exponent_by_scan(p, a, b, N, fac) -> int:
     return exponent
 
 
-def group_shape(
-    p: int,
-    a: int,
-    b: int,
-    N: int | None = None,
-    *,
-    seed: int = 0,
-    method: str = "auto",
-) -> GroupShape:
+def group_shape(p: int, a: int, b: int, N: int | None = None) -> GroupShape:
     """Invariants (d1, d2) with E(F_p) iso Z/d1 x Z/(d1*d2), d1^2*d2 = N.
 
-    d1 = N / exponent(E); the exponent is the lcm of the orders of at most
-    24 seeded random points, with a deterministic full scan of all points as
-    fallback (and as the default whenever p <= 61 or method="scan").  The
+    d1 = N / exponent(E), the exponent being the lcm of the orders of all
+    points (a deterministic full scan, stopped once it reaches N).  The
     result is verified to satisfy d1 | gcd(N, p - 1).
     """
     _require_p(p)
@@ -184,44 +176,14 @@ def group_shape(
     b %= p
     if N is None:
         N = point_count(p, a, b)
-    fac = factorize(N)
-    qs = _d1_candidates(p, N)
-    if not qs:
+    if not _d1_candidates(p, N):
         return GroupShape(1, N)
-
-    d1 = None
-    if method == "sample" or (method == "auto" and p > _AUDIT_P):
-        chi, root = _tables(p)
-        rng = random.Random(((seed & 0xFFFFFFFF) * p + a) * p + b)
-        run_lcm = 1
-        for _ in range(_MAX_SAMPLES):
-            for _ in range(256):
-                x = rng.randrange(p)
-                f = ((x * x % p) * x + a * x + b) % p
-                if chi[f] >= 0:
-                    P = (x, 0 if f == 0 else int(root[f]))
-                    break
-            else:
-                break
-            run_lcm = math.lcm(run_lcm, _point_order(P, a, p, N, fac))
-            cand = N // run_lcm
-            if cand == 1:
-                d1 = 1
-                break
-        else:
-            cand = N // run_lcm
-            if (p - 1) % cand == 0 and N % (cand * cand) == 0:
-                d1 = cand
-    elif method not in ("auto", "scan"):
-        raise DomainError(f"unknown method {method!r}")
-
-    if d1 is None:  # scan requested, audit mode, or candidate rejected
-        d1 = N // _exponent_by_scan(p, a, b, N, fac)
-        if (p - 1) % d1 or N % (d1 * d1):
-            raise InvariantError(
-                f"full scan gave d1={d1} not dividing gcd(N, p-1) at "
-                f"p={p}, a={a}, b={b}"
-            )
+    d1 = N // _exponent_by_scan(p, a, b, N, factorize(N))
+    if (p - 1) % d1 or N % (d1 * d1):
+        raise InvariantError(
+            f"full scan gave d1={d1} not dividing gcd(N, p-1) at "
+            f"p={p}, a={a}, b={b}"
+        )
     return GroupShape(d1, N // (d1 * d1))
 
 

@@ -12,9 +12,9 @@ l^(3R)(1 - 1/l^2), and has (1 - 1/l)/l^w subtracted.
 
 Counting never loops over all l^(4R) matrices on the production path: with
 the trace fixed, g22 is forced, and the number of (g12, g21) pairs with
-prescribed product and congruence is a two-case valuation formula, leaving a
-single loop over g11.  The l^(3R) and l^(4R) brute-force loops are kept as
-cross-check oracles.
+prescribed product and congruence is a two-case valuation formula, leaving
+one vectorized pass over g11.  The l^(3R) and l^(4R) brute-force loops are
+kept as cross-check oracles.
 
 All densities are exact ``Fraction`` values; floats appear only in the
 archimedean factor and in truncated products.
@@ -84,46 +84,9 @@ def f_infty(t: int, p: int, normalization: str = DEFAULT_NORMALIZATION) -> float
 # matrix counts: production formula path
 # ----------------------------------------------------------------------
 
-def _pair_count(c: int, u: int, ell: int, R: int) -> int:
-    """#{(x, y) in (Z/l^R)^2 : x == y == 0 mod l^u, x*y == c mod l^R}."""
-    if 2 * u >= R:
-        return ell ** (2 * (R - u)) if c == 0 else 0
-    s2 = ell ** (2 * u)
-    if c % s2:
-        return 0
-    m = R - 2 * u
-    c2 = c // s2
-    lm1 = ell ** (m - 1)
-    if c2 == 0:
-        pairs = lm1 * ell + m * lm1 * (ell - 1)
-    else:
-        pairs = (valuation(c2, ell) + 1) * lm1 * (ell - 1)
-    return pairs * s2
-
-
-def _count_trace_fixed(p: int, t: int, ell: int, R: int, u: int) -> int:
-    """#{g in M_2(Z/l^R) : det g = p, tr g = t, g == 1 mod l^u}.
-
-    With the trace fixed, g22 = t - g11 is forced and the (g12, g21) pairs
-    satisfying g12*g21 = g11*g22 - p are counted by the valuation formula,
-    so the loop is over g11 alone.
-    """
-    u = min(u, R)
-    q = ell**R
-    s = ell**u
-    pm = p % q
-    tm = t % q
-    total = 0
-    for g11 in range(1 % s, q, s):
-        g22 = (tm - g11) % q
-        if (g22 - 1) % s:
-            continue
-        total += _pair_count((g11 * g22 - pm) % q, u, ell, R)
-    return total
-
-
 def _count_trace_fixed_level(p: int, t: int, ell: int, R: int, v: int) -> int:
-    """Same count at congruence level exactly v (== 1 mod l^v, != mod l^(v+1))."""
+    """The fixed-trace count at congruence level exactly v (== 1 mod l^v,
+    != 1 mod l^(v+1))."""
     return _count_trace_fixed_vec(p, t, ell, R, v) - _count_trace_fixed_vec(
         p, t, ell, R, v + 1
     )
@@ -145,7 +108,12 @@ def _bucket_count_level(p: int, w: int, v: int, ell: int, R: int) -> int:
 
 
 def _count_trace_fixed_vec(p: int, t: int, ell: int, R: int, u: int) -> int:
-    """Vectorized variant of _count_trace_fixed (g11 handled by numpy)."""
+    """#{g in M_2(Z/l^R) : det g = p, tr g = t, g == 1 mod l^u}.
+
+    With the trace fixed, g22 = t - g11 is forced and the (g12, g21) pairs
+    satisfying g12*g21 = g11*g22 - p are counted by the valuation formula,
+    so only g11 varies, as one numpy array.
+    """
     u = min(u, R)
     q = ell**R
     s = ell**u
@@ -161,6 +129,7 @@ def _count_trace_fixed_vec(p: int, t: int, ell: int, R: int, u: int) -> int:
 
 
 def _pair_count_vec(c: np.ndarray, u: int, ell: int, R: int) -> np.ndarray:
+    """#{(x, y) in (Z/l^R)^2 : x == y == 0 mod l^u, x*y == c mod l^R} per c."""
     if 2 * u >= R:
         return np.where(c == 0, ell ** (2 * (R - u)), 0).astype(np.int64)
     s2 = ell ** (2 * u)
@@ -357,10 +326,11 @@ def g_sum(p: int, v: int, ell: int, R: int) -> Fraction:
 def level_congruence_count(p: int, v: int, ell: int, R: int) -> int:
     """#{g in M_2(Z/l^R) : det g = p, tr g == p + 1 mod l^(2v), level exactly v}.
 
-    This is the w-telescoped form of the g-density sum entering the Euler
-    factors: summing over the whole congruence class of traces at once makes
-    the normalized count stabilize already at R = 2v + 1, where the
-    individual trace-valuation buckets keep fluctuating.
+    This is the w-telescoped form of the g-density sum and the test oracle
+    for the closed-form Euler factors of ``analytic``: summing over the whole
+    congruence class of traces at once makes the normalized count stabilize
+    already at R = 2v + 1, where the individual trace-valuation buckets keep
+    fluctuating.
     """
     if R <= 2 * v:
         raise DomainError(f"need R > 2v, got R={R}, v={v}")

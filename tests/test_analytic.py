@@ -20,7 +20,7 @@ from ellstat.analytic import (
 )
 from ellstat.arith import divisors, factorize, is_prime, primes_up_to, valuation
 from ellstat.curves import tally_structures, weighted_average_from_tally
-from ellstat.densities import _bucket_count_level, _norm3, g_density, g_density_tail
+from ellstat.densities import _bucket_count_level, _norm3, g_density, g_density_tail, level_congruence_count
 from ellstat.errors import DomainError
 
 
@@ -94,14 +94,28 @@ def test_euler_factor_matches_bucket_route():
             assert lhs == E + Fraction(ell ** (2 * v), ell ** (R + 1)), (p, ell, v, R)
 
 
-def test_local_factor_r_ladder_stability():
-    # doubling the enumeration level leaves every factor unchanged
-    from ellstat.densities import level_congruence_count, _norm3
+def _enumeration_grid():
+    """(p, l, v) for primes 5 <= p <= 1000, l | p - 1, 1 <= v <= v_l(p - 1)
+    and l^(2+v) <= 2^12."""
+    return [
+        (p, ell, v)
+        for p in primes_up_to(1000)
+        if p >= 5
+        for ell, e in factorize(p - 1)
+        for v in range(1, e + 1)
+        if ell ** (2 + v) <= 1 << 12
+    ]
 
-    for p, ell, v in [(13, 2, 1), (13, 3, 1), (223, 37, 1), (401, 2, 3)]:
+
+def test_local_factor_r_ladder_stability():
+    # the closed form equals the matrix enumeration at R = 2v + 1 on the whole
+    # grid, and for l <= 3 the enumeration is already stable at R + 3
+    grid = _enumeration_grid()
+    assert len(grid) == 554
+    for p, ell, v in grid + [(223, 37, 1)]:
         R = 2 * v + 1
         base = Fraction(ell ** (2 * v) * level_congruence_count(p, v, ell, R), _norm3(ell, R))
-        assert base == local_factor(p, ell**v, ell)
+        assert base == local_factor(p, ell**v, ell), (p, ell, v)
         if ell <= 3:
             deeper = Fraction(
                 ell ** (2 * v) * level_congruence_count(p, v, ell, R + 3),

@@ -156,15 +156,18 @@ def test_prob_command():
 
 
 def test_compare_row_finite():
-    code, out, _ = run_cli("compare", "--p", "101", "--stat", "s")
+    # 4079 = 2*2039 + 1: the Euler factor at l = 2039 must come out finite
+    code, out, _ = run_cli("compare", "--p", "101,4079", "--stat", "s")
     assert code == 0
     lines = out.strip().splitlines()
     header = lines[0].split(",")
     assert header[0] == "p"
-    row = dict(zip(header, lines[1].split(",")))
-    assert row["p"] == "101"
-    vals = [float(v) for k, v in row.items() if k != "p"]
-    assert all(math.isfinite(v) for v in vals)
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert [r["p"] for r in rows] == ["101", "4079"]
+    for r in rows:
+        vals = [float(v) for k, v in r.items() if k != "p"]
+        assert all(math.isfinite(v) for v in vals)
+    row = rows[0]
     # half-normalized models sit near the brute value, paper models near 2x
     assert abs(float(row["mt_A_half"]) - float(row["brute_corrected"])) < 1.0
     assert float(row["mt_A_paper"]) > 1.5 * float(row["brute_corrected"])

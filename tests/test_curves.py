@@ -83,7 +83,7 @@ def test_group_shape_full_two_torsion_example():
                 continue
             roots = sum(1 for x in range(p) if (x**3 + a * x + b) % p == 0)
             if roots == 3:
-                assert group_shape(p, a, b, method="scan") == GroupShape(2, 2)
+                assert group_shape(p, a, b) == GroupShape(2, 2)
                 found = True
     assert found
 
@@ -110,19 +110,6 @@ def test_class_representatives_cover_models():
         for (a, b), n, r in zip(reps, N.tolist(), roots.tolist()):
             assert n == point_count(p, a, b)
             assert r == sum(1 for x in range(p) if (x**3 + a * x + b) % p == 0)
-
-
-def test_sampled_exponent_matches_scan():
-    # randomized path validated against the full order scan, model by model
-    for p in (5, 7, 11, 13, 37, 61):
-        for a in range(p):
-            for b in range(p):
-                if (4 * a**3 + 27 * b**2) % p == 0:
-                    continue
-                N = point_count(p, a, b)
-                assert group_shape(p, a, b, N, method="sample", seed=11) == group_shape(
-                    p, a, b, N, method="scan"
-                )
 
 
 def test_tally_small_primes_match_per_model():

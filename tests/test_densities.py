@@ -19,7 +19,6 @@ from ellstat.densities import (
     g_sum,
     probability_product,
     _bucket_count_level,
-    _count_trace_fixed,
     _count_trace_fixed_vec,
     _norm2,
     _count_trace_fixed_level,
@@ -59,10 +58,9 @@ def test_trace_fixed_paths_agree(ell, R):
     for p in (7, 11):
         for t in range(ell**R):
             for u in (0, 1, 2):
-                a = _count_trace_fixed(p, t, ell, R, u)
                 b = _count_trace_fixed_vec(p, t, ell, R, u)
                 c = count_trace_fixed_enum(p, t, ell, R, u)
-                assert a == b == c, (ell, R, p, t, u)
+                assert b == c, (ell, R, p, t, u)
 
 
 @pytest.mark.parametrize("ell,R", [(2, 2), (2, 3), (3, 2)])
@@ -201,8 +199,8 @@ def test_g_density_domain_and_budget():
     with pytest.raises(DomainError):
         g_density(7, 3, 0, 3, 3)  # w >= R
     with pytest.raises(BudgetError):
-        g_density(7, 1, 0, 3, 9)  # 3^9 over budget
-    g_density(7, 1, 0, 3, 9, enforce_budget=False)
+        g_density(7, 1, 0, 3, 5)  # 3^5 = 243 over the cap of 81
+    g_density(7, 1, 0, 3, 5, enforce_budget=False)
 
 
 def test_g_density_tail_bucket():
