@@ -1,10 +1,13 @@
 """Statistics of elliptic-curve groups over prime fields.
 
-Three independent routes to the average number of (cyclic) subgroups of
-E(F_p): exhaustive enumeration of all short-Weierstrass models, truncated
-products of exact local matrix densities, and the analytic main term with
-exact Euler factors - plus a laboratory for divisor sums in arithmetic
-progressions and short intervals.
+Three routes to the average number of (cyclic) subgroups of E(F_p): an
+exact count of all short-Weierstrass models by group shape through Schoof's
+theorem (Hurwitz class numbers), truncated products of exact local matrix
+densities, and the analytic main term with exact Euler factors - plus a
+laboratory for divisor sums in arithmetic progressions and short intervals.
+The routes are not independent (Gekeler writes the class numbers as products
+of the same local densities); model-by-model enumeration is the test oracle
+of the count.
 """
 
 from .arith import (

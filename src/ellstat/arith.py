@@ -1,5 +1,5 @@
 """Exact elementary arithmetic: sieves, factorization, multiplicative
-functions, Ramanujan sums and quadratic characters.
+functions, Ramanujan sums, quadratic characters and Hurwitz class numbers.
 
 Every function here returns exact integers; floating point never enters
 these kernels.  The smallest-prime-factor sieve is built once, grown on
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -259,3 +260,37 @@ def kronecker_chi(D: int, ell: int) -> int:
         raise DomainError(f"{ell} is not an odd prime")
     r = pow(D % ell, (ell - 1) // 2, ell)
     return r - ell if r > 1 else r
+
+
+@lru_cache(maxsize=1 << 16)
+def hurwitz_class_number(D: int) -> Fraction:
+    """Hurwitz class number H(D): the SL_2(Z)-classes of positive definite
+    binary quadratic forms of discriminant -D, primitive or not, with
+    a(x^2 + y^2) weighted 1/2 and a(x^2 + xy + y^2) weighted 1/3.
+
+    Counts the reduced forms (a, b, c), |b| <= a <= c with b >= 0 when
+    |b| = a or a = c; H(D) = 0 unless D = 0, 3 (mod 4).
+    """
+    if D <= 0:
+        raise DomainError(f"hurwitz_class_number requires D >= 1, got {D}")
+    if D % 4 in (1, 2):
+        return Fraction(0)
+    sixfold = 0
+    b = D % 2
+    while 3 * b * b <= D:
+        m = (b * b + D) // 4  # = ac
+        a = max(b, 1)
+        while a * a <= m:
+            if m % a == 0:
+                c = m // a
+                if a == b == c:
+                    sixfold += 2
+                elif b == 0 and a == c:
+                    sixfold += 3
+                elif b == 0 or a == b or a == c:
+                    sixfold += 6  # only (a, |b|, c) is reduced
+                else:
+                    sixfold += 12  # (a, b, c) and (a, -b, c)
+            a += 1
+        b += 2
+    return Fraction(sixfold, 6)

@@ -15,7 +15,8 @@ Exit codes: 0 success, 1 usage error, 2 domain or budget error.
 All CSV output is plain ASCII with 12 significant digits; rows are emitted
 in ascending order of the primary key regardless of how many worker
 processes computed them, so outputs are bit-identical across runs and
---threads settings for a fixed --seed.
+--threads settings.  Tallies are exact and deterministic; the --seed option
+that brute, sweep and compare accept is ignored.
 """
 
 from __future__ import annotations
@@ -80,6 +81,11 @@ def cli() -> None:
 
 _STAT_NAMES = {"s": "s", "c": "c", "tau": "tau_N", "one": "one"}
 
+_seed_option = click.option(
+    "--seed", type=int, default=0, show_default=True, expose_value=False,
+    help="ignored: the tally is deterministic",
+)
+
 
 @cli.command("brute")
 @click.option("--p", "p", type=int, required=True)
@@ -91,15 +97,15 @@ _STAT_NAMES = {"s": "s", "c": "c", "tau": "tau_N", "one": "one"}
     show_default=True,
 )
 @click.option("--tally", "show_tally", is_flag=True, help="also print the tally CSV")
-@click.option("--seed", type=int, default=0, show_default=True)
-def cmd_brute(p, stats, formula, show_tally, seed) -> None:
+@_seed_option
+def cmd_brute(p, stats, formula, show_tally) -> None:
     """Exhaustive weighted averages over all nonsingular models of one prime."""
     _check_brute_p(p)
     names = [s.strip() for s in stats.split(",") if s.strip()]
     bad = [s for s in names if s not in _STAT_NAMES]
     if bad:
         raise DomainError(f"unknown stats: {', '.join(bad)}")
-    tally = curves.tally_structures(p, seed)
+    tally = curves.tally_structures(p)
     click.echo("stat,value")
     for name in names:
         val = curves.weighted_average_from_tally(tally, _STAT_NAMES[name], formula)
@@ -114,9 +120,8 @@ def cmd_brute(p, stats, formula, show_tally, seed) -> None:
 # sweep
 # ----------------------------------------------------------------------
 
-def _sweep_row(args: tuple[int, int]) -> list[str]:
-    p, seed = args
-    tally = curves.tally_structures(p, seed)
+def _sweep_row(p: int) -> list:
+    tally = curves.tally_structures(p)
     avg = {
         "s_corr": curves.weighted_average_from_tally(tally, "s", "corrected"),
         "s_print": curves.weighted_average_from_tally(tally, "s", "printed"),
@@ -131,21 +136,20 @@ def _sweep_row(args: tuple[int, int]) -> list[str]:
 @click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @click.option("--full", "full", is_flag=True, help="unlock xmax beyond the CI budget")
-@click.option("--seed", type=int, default=0, show_default=True)
+@_seed_option
 @click.option("--gnuplot", is_flag=True, help="also write a gnuplot script next to the CSV")
-def cmd_sweep(xmax, threads, out, full, seed, gnuplot) -> None:
+def cmd_sweep(xmax, threads, out, full, gnuplot) -> None:
     """Per-prime averages for all primes 5 <= p <= xmax, one CSV row each."""
     if xmax > _SWEEP_CI_BUDGET and not full:
         raise DomainError(
             f"xmax {xmax} exceeds the default budget {_SWEEP_CI_BUDGET}; pass --full"
         )
     ps = [p for p in primes_up_to(xmax) if p >= 5]
-    jobs = [(p, seed) for p in ps]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_sweep_row, jobs, chunksize=1))
+            rows = list(pool.map(_sweep_row, ps, chunksize=1))
     else:
-        rows = [_sweep_row(j) for j in jobs]
+        rows = [_sweep_row(p) for p in ps]
     rows.sort(key=lambda r: r[0])
     running = 0.0
     try:
@@ -209,8 +213,8 @@ def cmd_fit(infile, column) -> None:
 @cli.command("compare")
 @click.option("--p", "plist", required=True, help="comma list of primes")
 @click.option("--stat", type=click.Choice(["s", "c"]), default="s", show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-def cmd_compare(plist, stat, seed) -> None:
+@_seed_option
+def cmd_compare(plist, stat) -> None:
     """Brute force vs the printed-form main terms (A_unit, B_inverse)."""
     try:
         ps = [int(v) for v in plist.split(",") if v.strip()]
@@ -219,7 +223,7 @@ def cmd_compare(plist, stat, seed) -> None:
     click.echo(",".join(COMPARE_HEADER))
     for p in ps:
         _check_brute_p(p)
-        tally = curves.tally_structures(p, seed)
+        tally = curves.tally_structures(p)
         brute = {
             "corr": float(curves.weighted_average_from_tally(tally, stat, "corrected")),
             "printed": float(curves.weighted_average_from_tally(tally, stat, "printed")),

@@ -1,13 +1,11 @@
 """Acceptance suite: one test per criterion, each reporting a PASS/FAIL line
 in the terminal summary.
 
-Heavy audits that exceed CI budgets (the full x <= 2423 sweep of criterion 5)
-run only when ELLSTAT_FULL_SWEEP=1; the CI surrogate always runs.  Results of
-the one-time full audits are frozen in the assertions and in README.md.
+Criterion 5 always runs its full x <= 2423 audit; its results are frozen in
+the assertions and in README.md.
 """
 
 import math
-import os
 import statistics
 from fractions import Fraction
 
@@ -141,9 +139,7 @@ def _through_origin_fit(xs, ys):
 
 
 def test_criterion_5_figure_slope():
-    full = os.environ.get("ELLSTAT_FULL_SWEEP") == "1"
-    xmax = 2423 if full else 503
-    ps = [p for p in primes_up_to(xmax) if p >= 5]
+    ps = [p for p in primes_up_to(2423) if p >= 5]
     fits = {}
     for formula in ("corrected", "printed"):
         ys = [float(weighted_average_from_tally(_tally(p), "s", formula)) for p in ps]
@@ -154,20 +150,13 @@ def test_criterion_5_figure_slope():
     # ambiguity adjudicated in criterion 6.  The figure is reproduced by the
     # corrected variant after removing that factor.
     figure_fits = {k: v / 2 for k, v in fits.items()}
-    if full:
-        ok = any(abs(v - 1.053) <= 0.03 for v in figure_fits.values())
-        matching = min(figure_fits, key=lambda k: abs(figure_fits[k] - 1.053))
-        detail = (
-            f"x<=2423 mass-1 fits {fits['corrected']:.3f}/{fits['printed']:.3f}; "
-            f"figure-normalized {figure_fits['corrected']:.3f}/{figure_fits['printed']:.3f}; "
-            f"matching variant: {matching}"
-        )
-    else:
-        ok = 0.95 <= figure_fits["corrected"] <= 1.20
-        detail = (
-            f"CI surrogate x<=503: figure-normalized corrected fit "
-            f"{figure_fits['corrected']:.3f} in [0.95, 1.20]; mass-1 fit {fits['corrected']:.3f}"
-        )
+    ok = any(abs(v - 1.053) <= 0.03 for v in figure_fits.values())
+    matching = min(figure_fits, key=lambda k: abs(figure_fits[k] - 1.053))
+    detail = (
+        f"x<=2423 mass-1 fits {fits['corrected']:.3f}/{fits['printed']:.3f}; "
+        f"figure-normalized {figure_fits['corrected']:.3f}/{figure_fits['printed']:.3f}; "
+        f"matching variant: {matching}"
+    )
     assert _report(5, "figure slope", ok, detail)
 
 

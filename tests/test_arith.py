@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from ellstat.arith import (
     divisors,
     factorize,
+    hurwitz_class_number,
     is_prime,
     kronecker_chi,
     multiplicative_suite,
@@ -146,3 +148,23 @@ def test_tau_sigma_multiplicativity(m, n):
         assert tau(m * n) == tau(m) * tau(n)
         assert sigma(m * n) == sigma(m) * sigma(n)
         assert phi_star_mu(m * n) == phi_star_mu(m) * phi_star_mu(n)
+
+
+def test_hurwitz_class_number_examples():
+    expected = {
+        3: Fraction(1, 3), 4: Fraction(1, 2), 7: 1, 8: 1, 11: 1, 12: Fraction(4, 3),
+        15: 2, 16: Fraction(3, 2), 19: 1, 20: 2, 23: 3, 24: 2, 27: Fraction(4, 3), 28: 2,
+    }
+    assert {D: hurwitz_class_number(D) for D in expected} == expected
+    for D in (1, 2, 5, 6, 9, 10, 101, 4002):
+        assert hurwitz_class_number(D) == 0
+    for D in (0, -3, -4):
+        with pytest.raises(DomainError):
+            hurwitz_class_number(D)
+
+
+def test_hurwitz_class_number_kronecker_relation():
+    # sum_{t^2 < 4p} H(4p - t^2) = 2p; a wrong 1/2 or 1/3 weight breaks it
+    for p in primes_up_to(2423)[2:]:
+        tmax = math.isqrt(4 * p - 1)
+        assert sum(hurwitz_class_number(4 * p - t * t) for t in range(-tmax, tmax + 1)) == 2 * p

@@ -14,8 +14,6 @@ from ellstat.curves import (
     tally_structures,
     weighted_average,
     weighted_average_from_tally,
-    _class_representatives,
-    _counts_and_roots,
 )
 from ellstat.errors import DomainError
 from ellstat.groups import stat_on_shape
@@ -88,32 +86,9 @@ def test_group_shape_full_two_torsion_example():
     assert found
 
 
-def test_class_representatives_cover_models():
-    # these primes cover every residue of p mod 12, i.e. every gcd(6, p-1)
-    # and gcd(4, p-1) that sets the j = 0 and j = 1728 classes
-    for p in (5, 7, 11, 13, 17, 19, 23, 37):
-        A, B, W = _class_representatives(p)
-        N, roots = _counts_and_roots(p, A, B)
-        reps = list(zip(A.tolist(), B.tolist()))
-        index = {rep: i for i, rep in enumerate(reps)}
-        assert len(index) == len(reps)
-        hits = [0] * len(reps)
-        for a in range(p):
-            for b in range(p):
-                if (4 * a**3 + 27 * b**2) % p == 0:
-                    continue
-                orbit = {(pow(u, 4, p) * a % p, pow(u, 6, p) * b % p) for u in range(1, p)}
-                found = [index[m] for m in orbit if m in index]
-                assert len(found) == 1, (p, a, b)
-                hits[found[0]] += 1
-        assert hits == W.tolist()
-        for (a, b), n, r in zip(reps, N.tolist(), roots.tolist()):
-            assert n == point_count(p, a, b)
-            assert r == sum(1 for x in range(p) if (x**3 + a * x + b) % p == 0)
-
-
 def test_tally_small_primes_match_per_model():
-    for p in (5, 7, 11, 13, 37, 67):
+    # d1 = 9 first occurs at p = 73
+    for p in (5, 7, 11, 13, 37, 67, 73):
         tally = tally_structures(p)
         counts = {}
         for a in range(p):
@@ -145,11 +120,6 @@ def test_tally_trace_recount_p11():
             if point_count(p, a, b) == 12:
                 recount += 1
     assert by_bucket == recount
-
-
-def test_tally_determinism_and_seed():
-    assert tally_structures(67, seed=1).counts == tally_structures(67, seed=1).counts
-    assert tally_structures(67, seed=1).counts == tally_structures(67, seed=2).counts
 
 
 def test_empirical_probability():
