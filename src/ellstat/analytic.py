@@ -32,8 +32,8 @@ against the double pole of zeta(s)^2 gives
     delta_l = 2 log l/(l-1) - log l * E_l[n f_l] / E_l[f_l].
 
 The law pi_l depends only on l and e = v_l(p - 1) and is an atom at n = 2x
-followed by a geometric tail of ratio 1/l (``frobenius_law``), so every
-expectation is an exact rational.  Away from p(p-1) the local factors are
+followed by a geometric tail of ratio 1/l (``densities.frobenius_law``), so
+every expectation is an exact rational.  Away from p(p-1) the local factors are
 1 + 1/(l(l-1)) and delta_l = -2 log l/(l^2-l+1); their full product and
 sum are the constants zeta(2)zeta(3)/zeta(6) and ``_GENERIC_LOG_SUM``,
 corrected by the finitely many l | p(p-1).  Per-d1 components split each
@@ -61,7 +61,7 @@ from functools import lru_cache
 
 from .arith import divisors, factorize, is_prime, phi, phi_star_mu, primes_up_to, sigma, tau, valuation
 # level_congruence_count is unused here; perfbench's span self-test asserts this binding.
-from .densities import DEFAULT_NORMALIZATION, level_congruence_count  # noqa: F401
+from .densities import DEFAULT_NORMALIZATION, frobenius_law, level_congruence_count  # noqa: F401
 from .errors import DomainError, InvariantError
 
 EULER_GAMMA = 0.5772156649015329
@@ -101,8 +101,9 @@ def _euler_factor_at(p: int, ell: int, v: int) -> Fraction:
     """Exact local factor E_l for v = v_l(d1), any d1 | p - 1 with that v.
 
     E_l = l^(2v) sum_{n >= 2v} pi_l(v, n) = l^(2v) (a + b/(l-1)) with
-    (a, b) = frobenius_law(l, v_l(p-1), v).  The tests check it against the
-    enumeration l^(2v) level_congruence_count(p, v, l, 2v+1) / _norm3(l, 2v+1).
+    (a, b) = densities.frobenius_law(l, v_l(p-1), v).  The tests check it
+    against the count l^(2v) level_congruence_count(p, v, l, 2v+1) /
+    _norm3(l, 2v+1).
     """
     a, b = frobenius_law(ell, valuation(p - 1, ell), v)
     E = ell ** (2 * v) * (a + b / (ell - 1))
@@ -185,26 +186,6 @@ def main_term_components(
         val = prod * inner / (d1 * d1)
         out[d1] = val / 2 if normalization == "half" else val
     return out
-
-
-def frobenius_law(ell: int, e: int, x: int) -> tuple[Fraction, Fraction]:
-    """Closed-form law of (level, v_l(N)) in the Frobenius model at l != p.
-
-    For e = v_l(p - 1) and congruence level exactly x (0 <= x <= e) returns
-    (a, b) with pi_l(x, 2x) = a and pi_l(x, n) = b * l^-(n - 2x) for n > 2x;
-    pi_l(x, n) = 0 for n < 2x.  Matches the enumeration
-    ``_bucket_count_level(p, n, x, l, n + 1) / _norm3(l, n + 1)`` (tests).
-    """
-    if not 0 <= x <= e:
-        raise DomainError(f"level x={x} outside 0..{e}")
-    if e == 0:
-        return Fraction(ell - 2, ell - 1), Fraction(1)
-    if x == 0:
-        return Fraction(ell * ell - ell - 1, ell * ell - 1), Fraction(ell - 1, ell)
-    scale = Fraction(1, ell ** (3 * x))
-    if x < e:
-        return scale * Fraction(ell, ell + 1), scale * Fraction(ell - 1, ell)
-    return scale * Fraction(ell * ell - ell - 1, ell * ell - 1), scale
 
 
 @lru_cache(maxsize=None)

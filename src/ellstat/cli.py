@@ -35,7 +35,6 @@ from .groups import GroupShape
 
 _BRUTE_MIN, _BRUTE_MAX = 5, 5000
 _SWEEP_CI_BUDGET = 503
-_SWEEP_FULL_BUDGET = 2423
 
 SWEEP_HEADER = [
     "x",
@@ -257,7 +256,7 @@ def cmd_density() -> None:
 @click.option("--d1", type=int, required=True)
 @click.option("--d2", type=int, required=True)
 def cmd_f_ell(ell, p, d1, d2) -> None:
-    """Enumerated density for one shape at one prime."""
+    """Exact matrix density for one shape at one prime, from root counts."""
     res = densities.f_ell(ell, d1, d2, p)
     click.echo(f"value,{res.value}")
     click.echo(f"float,{_fmt(res.value)}")
@@ -270,11 +269,11 @@ def cmd_f_ell(ell, p, d1, d2) -> None:
 @click.option("--R", "R", type=int, required=True)
 @click.option("--v", type=int, default=0, show_default=True)
 def cmd_g_sum(ell, p, R, v) -> None:
-    """Sum of the trace-valuation densities g(w, v) for w = 0..R."""
+    """Sum of the trace-valuation densities g(w, v) for w = 0..R (ell != p)."""
     val = densities.g_sum(p, v, ell, R)
     click.echo(f"value,{val}")
     click.echo(f"float,{_fmt(val)}")
-    if v == 0 and ell != p:
+    if v == 0:
         from fractions import Fraction
 
         delta = 1 if (p - 1) % ell == 0 else 0

@@ -20,7 +20,7 @@ from ellstat.analytic import (
 )
 from ellstat.arith import divisors, factorize, is_prime, primes_up_to, valuation
 from ellstat.curves import tally_structures, weighted_average_from_tally
-from ellstat.densities import _bucket_count_level, _norm3, g_density, g_density_tail, level_congruence_count
+from ellstat.densities import _bucket_count_level, _count_trace_fixed_level, _norm3, level_congruence_count
 from ellstat.errors import DomainError
 
 
@@ -80,16 +80,18 @@ def test_local_factor_finite_support():
 
 
 def test_euler_factor_matches_bucket_route():
-    # dual route, exact at finite R:
+    # dual route, exact at finite R, with g(w, v) from the counted buckets:
     #   1 + l^(2v) (sum_{w=2v}^{R-1} g(w,v) + g_tail) = E_l + l^(2v-R-1)
     for p, ell, v in [(13, 2, 1), (13, 2, 2), (13, 3, 1), (11, 5, 1), (101, 2, 2)]:
         E = local_factor(p, ell**v, ell)
         for R in (2 * v + 1, 2 * v + 2, 2 * v + 3):
+            norm = _norm3(ell, R)
             total = sum(
-                g_density(p, w, v, ell, R, enforce_budget=False)
+                Fraction(_bucket_count_level(p, w, v, ell, R), norm) - Fraction(ell - 1, ell ** (w + 1))
                 for w in range(2 * v, R)
             )
-            total += g_density_tail(p, v, ell, R, enforce_budget=False)
+            tail = _count_trace_fixed_level(p, (p + 1) % ell**R, ell, R, v)
+            total += Fraction(tail, norm) - Fraction(ell - 1, ell ** (R + 1))
             lhs = 1 + ell ** (2 * v) * total
             assert lhs == E + Fraction(ell ** (2 * v), ell ** (R + 1)), (p, ell, v, R)
 

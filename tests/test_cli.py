@@ -146,6 +146,9 @@ def test_density_g_sum():
     assert code == 0
     rows = dict(line.split(",") for line in out.strip().splitlines())
     assert rows["value"] == rows["predicted"]
+    # the Frobenius law behind g is for ell != p
+    code, _, _ = run_cli("density", "g-sum", "--ell", "11", "--p", "11", "--R", "3")
+    assert code == 2
 
 
 def test_prob_command():
@@ -153,6 +156,14 @@ def test_prob_command():
     assert code == 0
     rows = dict(line.split(",") for line in out.strip().splitlines())
     assert 0.01 < float(rows["value"]) < 0.03
+
+
+def test_prob_high_valuation_shape():
+    # D = 13^2 - 4*103 = -243 = -3^5, so the density at 3 needs R = 6
+    code, out, _ = run_cli("prob", "--p", "103", "--d1", "1", "--d2", "91", "--lmax", "300")
+    assert code == 0
+    rows = dict(line.split(",") for line in out.strip().splitlines())
+    assert 0 < float(rows["value"]) < 1
 
 
 def test_compare_row_finite():

@@ -19,11 +19,13 @@ from ellstat.densities import (
     g_sum,
     probability_product,
     _bucket_count_level,
-    _count_trace_fixed_vec,
-    _norm2,
+    _count_trace_fixed,
     _count_trace_fixed_level,
+    _norm2,
+    _norm3,
+    _sqrt_counts,
 )
-from ellstat.errors import BudgetError, DomainError
+from ellstat.errors import DomainError
 from ellstat.groups import GroupShape
 
 
@@ -53,14 +55,28 @@ def test_f_infty_total_mass_quadrature():
 # matrix counting paths agree
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("ell,R", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)])
+@pytest.mark.parametrize(
+    "ell,R",
+    [(2, R) for R in range(1, 6)]
+    + [(3, R) for R in range(1, 4)]
+    + [(5, 1), (5, 2), (7, 1), (7, 2), (11, 1), (13, 1)],
+)
 def test_trace_fixed_paths_agree(ell, R):
-    for p in (7, 11):
+    # the root-count formula against the full (g12, g21) grid, l = p included
+    for p in (7, 11, 13):
         for t in range(ell**R):
-            for u in (0, 1, 2):
-                b = _count_trace_fixed_vec(p, t, ell, R, u)
+            for u in range(4):
+                b = _count_trace_fixed(p, t, ell, R, u)
                 c = count_trace_fixed_enum(p, t, ell, R, u)
                 assert b == c, (ell, R, p, t, u)
+
+
+def test_sqrt_counts_match_brute():
+    for ell, m in [(2, 7), (3, 5), (5, 3), (7, 2)]:
+        q = ell**m
+        for A in range(-q, q):
+            want = [sum((z * z - A) % ell**k == 0 for z in range(ell**k)) for k in range(m + 1)]
+            assert _sqrt_counts(A, ell, m) == want, (ell, m, A)
 
 
 @pytest.mark.parametrize("ell,R", [(2, 2), (2, 3), (3, 2)])
@@ -117,11 +133,8 @@ def test_f_ell_matches_closed_form_everywhere_applicable():
                 for ell in (2, 3, 5, 7):
                     if (D // (d1 * d1)) % ell == 0:
                         continue
-                    try:
-                        enum = f_ell(ell, d1, d2, p)
-                    except BudgetError:
-                        continue
-                    assert enum.value == f_ell_closed(ell, d1, d2, p), (p, d1, d2, ell)
+                    got = f_ell(ell, d1, d2, p)
+                    assert got.value == f_ell_closed(ell, d1, d2, p), (p, d1, d2, ell)
 
 
 def test_f_ell_sandwich_corrected():
@@ -140,13 +153,17 @@ def test_f_ell_sandwich_corrected():
                     continue
                 for ell in (2, 3, 5):
                     v = valuation(d1, ell)
-                    try:
-                        val = f_ell(ell, d1, d2, p).value
-                    except BudgetError:
-                        continue
+                    val = f_ell(ell, d1, d2, p).value
                     scaled = val * ell**v
                     assert Fraction(ell, ell + 1) <= scaled, (p, d1, d2, ell, val)
                     assert scaled <= 1 + Fraction(2, ell) * (1 + Fraction(1, ell - 1))
+
+
+def test_f_ell_high_valuation():
+    # D = 13^2 - 4*103 = -3^5 and D = 14^2 - 4*113 = -2^8; both values agree
+    # with the matrix count at R and R + 1
+    assert f_ell(3, 1, 91, 103) == (Fraction(13, 9), 6)
+    assert f_ell(2, 8, 2, 113) == (Fraction(1, 8), 9)
 
 
 def test_f_ell_budget_and_domain():
@@ -192,15 +209,35 @@ def test_g_sum_identity_exact():
 def test_g_density_examples():
     assert g_sum(11, 0, 5, 3) == -Fraction(1, 120) + Fraction(1, 625)
     assert g_sum(11, 0, 7, 2) == Fraction(1, 343)
-    assert g_density(7, 2, 1, 3, 4, enforce_budget=False) < 0
+    assert g_density(7, 2, 1, 3, 4) < 0
 
 
 def test_g_density_domain_and_budget():
     with pytest.raises(DomainError):
         g_density(7, 3, 0, 3, 3)  # w >= R
-    with pytest.raises(BudgetError):
-        g_density(7, 1, 0, 3, 5)  # 3^5 = 243 over the cap of 81
-    g_density(7, 1, 0, 3, 5, enforce_budget=False)
+    with pytest.raises(DomainError):
+        g_density(7, 1, 0, 7, 3)  # the law is for ell != p
+    with pytest.raises(DomainError):
+        g_density_tail(7, 0, 7, 3)
+
+
+def test_g_density_matches_bucket_count():
+    # the law read by g equals the normalized bucket counts, including the
+    # levels v > v_l(p - 1) and, in the tail, v >= R where both are empty
+    for ell in (2, 3, 5):
+        for p in (7, 11, 13, 17, 41):
+            e = valuation(p - 1, ell)
+            R = 1
+            while ell**R <= 81:
+                for v in range(e + 2):
+                    for w in range(R):
+                        cnt = _bucket_count_level(p, w, v, ell, R)
+                        want = Fraction(cnt, _norm3(ell, R)) - Fraction(ell - 1, ell ** (w + 1))
+                        assert g_density(p, w, v, ell, R) == want, (ell, p, v, w, R)
+                    cnt = _count_trace_fixed_level(p, (p + 1) % ell**R, ell, R, v)
+                    want = Fraction(cnt, _norm3(ell, R)) - Fraction(ell - 1, ell ** (R + 1))
+                    assert g_density_tail(p, v, ell, R) == want, (ell, p, v, R)
+                R += 1
 
 
 def test_g_density_tail_bucket():
