@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -132,7 +133,10 @@ def _sweep_row(p: int) -> list:
 
 @cli.command("sweep")
 @click.option("--xmax", type=int, required=True)
-@click.option("--threads", type=int, default=1, show_default=True)
+@click.option(
+    "--threads", type=click.IntRange(min=1), default=1, show_default=True,
+    help="worker processes, capped at the core count and the number of primes",
+)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @click.option("--full", "full", is_flag=True, help="unlock xmax beyond the CI budget")
 @_seed_option
@@ -144,8 +148,9 @@ def cmd_sweep(xmax, threads, out, full, gnuplot) -> None:
             f"xmax {xmax} exceeds the default budget {_SWEEP_CI_BUDGET}; pass --full"
         )
     ps = [p for p in primes_up_to(xmax) if p >= 5]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, os.cpu_count() or 1, len(ps))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, ps, chunksize=1))
     else:
         rows = [_sweep_row(p) for p in ps]
@@ -289,7 +294,10 @@ def cmd_g_sum(ell, p, R, v) -> None:
 @click.option("--p", "p", type=int, required=True)
 @click.option("--d1", type=int, required=True)
 @click.option("--d2", type=int, required=True)
-@click.option("--lmax", type=int, default=1000, show_default=True)
+@click.option(
+    "--lmax", type=int, default=1000, show_default=True,
+    help="truncation: primes l <= lmax, at least 2",
+)
 @click.option(
     "--norm",
     type=click.Choice(["paper", "half"]),

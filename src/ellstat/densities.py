@@ -18,7 +18,9 @@ Frobenius law pi_l(x, n) of (level, v_l(N)) (``frobenius_law``).  The
 matrix enumerations are kept at the end of the module as test oracles.
 
 All densities are exact ``Fraction`` values; floats appear only in the
-archimedean factor and in truncated products.
+archimedean factor and in truncated products.  The product's factor at a
+prime l not dividing D is the closed form l/(l - (D | l)), computed as one
+correctly rounded int/int division rather than through ``f_ell_closed``.
 """
 
 from __future__ import annotations
@@ -223,7 +225,11 @@ def f_ell(ell: int, d1: int, d2: int, p: int) -> LocalFactor:
 
 def f_ell_closed(ell: int, d1: int, d2: int, p: int) -> Fraction:
     """Closed form l^-v (1 - 1/l^2)^-1 (1 + chi/l), valid when l does not
-    divide D/d1^2; chi is the quadratic character of D/d1^2 at l."""
+    divide D/d1^2; chi is the quadratic character of D/d1^2 at l.
+
+    ``probability_product`` inlines this at l not dividing D as l/(l - chi);
+    the exact value here is the test oracle of that loop.
+    """
     _check_prime(ell, "ell")
     N = d1 * d1 * d2
     t = p + 1 - N
@@ -310,9 +316,16 @@ def probability_product(
     """Truncated local-density product approximating the probability that
     E(F_p) has the given shape.
 
-    Primes dividing the discriminant get the root-count density ``f_ell``,
-    all other primes up to ell_max the closed form ``f_ell_closed``, and
-    ell = p its own local factor.
+    Primes dividing the discriminant D = t^2 - 4p get the root-count
+    density ``f_ell`` and ell = p its own local factor.  Every other prime
+    ell <= ell_max contributes l/(l - chi) with chi = (D | l), one Euler
+    criterion power (at l = 2, chi = +1 iff D = +-1 mod 8).  This is
+    ``f_ell_closed`` exactly: d1 | p - 1 and d1^2 | N give d1^2 | D (checked
+    once, ``InvariantError``), so l does not divide d1, v = 0 and
+    chi(D/d1^2) = chi(D), and l^2/(l^2 - 1) (1 + chi/l) = l/(l - chi).  The
+    int/int division rounds that rational as ``float(Fraction)`` does, so
+    each factor is bit-identical to the closed form's.  ell_max < 2 leaves
+    no prime and raises ``DomainError``.
     The reported diagnostic is the log-increment contributed by the last
     decade (ell_max/10, ell_max] of the truncation, a measure of the slow
     conditional convergence of the character tail.
@@ -322,6 +335,8 @@ def probability_product(
         raise DomainError(f"need a prime p >= 5, got {p}")
     if d1 < 1 or d2 < 1:
         raise DomainError(f"invalid shape {shape}")
+    if ell_max < 2:
+        raise DomainError(f"need ell_max >= 2, got {ell_max}: no primes to multiply")
     if (p - 1) % d1:
         return ProbabilityEstimate(0.0, 0.0, ell_max)
     N = shape.order
@@ -329,6 +344,8 @@ def probability_product(
     if t * t >= 4 * p:
         return ProbabilityEstimate(0.0, 0.0, ell_max)
     D = t * t - 4 * p
+    if D % (d1 * d1):
+        raise InvariantError(f"d1^2 = {d1 * d1} does not divide D = {D}")
     value = f_infty(t, p, normalization)
     tail_log = 0.0
     for ell in primes_up_to(ell_max):
@@ -337,7 +354,11 @@ def probability_product(
         elif D % ell == 0:
             factor = float(f_ell(ell, d1, d2, p).value)
         else:
-            factor = float(f_ell_closed(ell, d1, d2, p))
+            if ell == 2:
+                chi = 1 if D % 8 in (1, 7) else -1
+            else:
+                chi = 1 if pow(D % ell, (ell - 1) // 2, ell) == 1 else -1
+            factor = ell / (ell - chi)
         if factor == 0.0:
             return ProbabilityEstimate(0.0, 0.0, ell_max)
         value *= factor

@@ -92,6 +92,12 @@ def test_sweep_thread_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_sweep_threads_must_be_positive(tmp_path):
+    code, _, err = run_cli("sweep", "--xmax", "20", "--threads", "0", "--out", str(tmp_path / "a.csv"))
+    assert code == 1, err
+    assert not (tmp_path / "a.csv").exists()
+
+
 def test_sweep_budget_requires_full():
     code, _, err = run_cli("sweep", "--xmax", "600", "--out", "/tmp/nope.csv")
     assert code == 2
@@ -164,6 +170,13 @@ def test_prob_high_valuation_shape():
     assert code == 0
     rows = dict(line.split(",") for line in out.strip().splitlines())
     assert 0 < float(rows["value"]) < 1
+
+
+def test_prob_lmax_without_primes_exit_2():
+    for lmax in ("1", "-5"):
+        code, out, err = run_cli("prob", "--p", "101", "--d1", "1", "--d2", "106", "--lmax", lmax)
+        assert code == 2, (lmax, out, err)
+        assert "ell_max" in err
 
 
 def test_compare_row_finite():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ellstat.arith import valuation
+from ellstat.arith import primes_up_to, valuation
 from ellstat.curves import empirical_probability, tally_structures
 from ellstat.densities import (
     DEFAULT_NORMALIZATION,
@@ -166,7 +166,7 @@ def test_f_ell_high_valuation():
     assert f_ell(2, 8, 2, 113) == (Fraction(1, 8), 9)
 
 
-def test_f_ell_budget_and_domain():
+def test_f_ell_domain():
     with pytest.raises(DomainError):
         f_ell(3, 2, 1, 8)  # p not prime
     with pytest.raises(DomainError):
@@ -212,7 +212,7 @@ def test_g_density_examples():
     assert g_density(7, 2, 1, 3, 4) < 0
 
 
-def test_g_density_domain_and_budget():
+def test_g_density_domain():
     with pytest.raises(DomainError):
         g_density(7, 3, 0, 3, 3)  # w >= R
     with pytest.raises(DomainError):
@@ -263,6 +263,42 @@ def test_probability_product_example_p101():
     emp = float(empirical_probability(tally, shape))
     est = probability_product(101, shape, 1000)
     assert est.value == pytest.approx(emp, rel=0.25)
+
+
+def _oracle_product(p, shape, ell_max):
+    # the product from the exact local factors, in the loop's prime order
+    d1, d2 = shape
+    t = p + 1 - shape.order
+    D = t * t - 4 * p
+    value, tail_log = f_infty(t, p), 0.0
+    for ell in primes_up_to(ell_max):
+        if ell == p:
+            factor = float(f_p_local(p, shape.order))
+        elif D % ell == 0:
+            factor = float(f_ell(ell, d1, d2, p).value)
+        else:
+            factor = float(f_ell_closed(ell, d1, d2, p))
+        value *= factor
+        if ell > ell_max // 10:
+            tail_log += math.log(factor)
+    return value, tail_log
+
+
+def test_probability_product_matches_local_factor_oracle():
+    # bit for bit: l/(l - chi) rounds the same rational as float(f_ell_closed);
+    # an odd D = t^2 - 4p is 5 mod 8, and p = 113 adds 2 | D up to R = 9
+    for p in (101, 103, 113):
+        for shape in tally_structures(p).counts:
+            for ell_max in (200, 1000):
+                est = probability_product(p, shape, ell_max)
+                want = _oracle_product(p, shape, ell_max)
+                assert (est.value, est.tail_log_increment) == want, (p, shape, ell_max)
+
+
+def test_probability_product_needs_a_prime():
+    for ell_max in (1, 0, -5):
+        with pytest.raises(DomainError):
+            probability_product(101, GroupShape(1, 106), ell_max)
 
 
 def test_probability_default_normalization_is_half():
