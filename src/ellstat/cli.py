@@ -12,20 +12,18 @@ Subcommands::
 
 Exit codes: 0 success, 1 usage error, 2 domain or budget error.
 
-All CSV output is plain ASCII with 12 significant digits; rows are emitted
-in ascending order of the primary key regardless of how many worker
-processes computed them, so outputs are bit-identical across runs and
---threads settings.  Tallies are exact and deterministic; the --seed option
-that brute, sweep and compare accept is ignored.
+All CSV output is plain ASCII with 12 significant digits; rows are computed
+in one process and emitted in ascending order of the primary key, so outputs
+are bit-identical across runs.  Tallies are exact and deterministic; the
+--seed option that brute, sweep and compare accept is ignored, and so is
+sweep's --threads.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import click
 
@@ -35,7 +33,6 @@ from .errors import BudgetError, DomainError
 from .groups import GroupShape
 
 _BRUTE_MIN, _BRUTE_MAX = 5, 5000
-_SWEEP_CI_BUDGET = 503
 
 SWEEP_HEADER = [
     "x",
@@ -135,26 +132,14 @@ def _sweep_row(p: int) -> list:
 @click.option("--xmax", type=int, required=True)
 @click.option(
     "--threads", type=click.IntRange(min=1), default=1, show_default=True,
-    help="worker processes, capped at the core count and the number of primes",
+    expose_value=False, help="ignored: rows are computed in one process",
 )
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
-@click.option("--full", "full", is_flag=True, help="unlock xmax beyond the CI budget")
 @_seed_option
 @click.option("--gnuplot", is_flag=True, help="also write a gnuplot script next to the CSV")
-def cmd_sweep(xmax, threads, out, full, gnuplot) -> None:
+def cmd_sweep(xmax, out, gnuplot) -> None:
     """Per-prime averages for all primes 5 <= p <= xmax, one CSV row each."""
-    if xmax > _SWEEP_CI_BUDGET and not full:
-        raise DomainError(
-            f"xmax {xmax} exceeds the default budget {_SWEEP_CI_BUDGET}; pass --full"
-        )
-    ps = [p for p in primes_up_to(xmax) if p >= 5]
-    workers = min(threads, os.cpu_count() or 1, len(ps))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, ps, chunksize=1))
-    else:
-        rows = [_sweep_row(p) for p in ps]
-    rows.sort(key=lambda r: r[0])
+    rows = [_sweep_row(p) for p in primes_up_to(xmax) if p >= 5]
     running = 0.0
     try:
         with open(out, "w", newline="") as fh:
@@ -196,12 +181,23 @@ def cmd_fit(infile, column) -> None:
             raise DomainError(f"column 'x' not in {infile}")
         xs, ys = [], []
         for row in reader:
-            xs.append(float(row["x"]))
-            ys.append(float(row[column]))
+            try:
+                x, y = float(row["x"]), float(row[column])
+            except (TypeError, ValueError) as exc:
+                raise DomainError(
+                    f"non-numeric value in line {reader.line_num} of {infile}: "
+                    f"x={row['x']!r}, {column}={row[column]!r}"
+                ) from exc
+            if not 0 < x < math.inf:
+                raise DomainError(f"x must be positive and finite, got {row['x']!r} in {infile}")
+            xs.append(x)
+            ys.append(y)
     if not xs:
         raise DomainError("no data rows")
-    num = sum(y * math.log(x) for x, y in zip(xs, ys))
     den = sum(math.log(x) ** 2 for x in xs)
+    if den == 0:
+        raise DomainError(f"every x in {infile} is 1, so log x is 0 and the slope is undefined")
+    num = sum(y * math.log(x) for x, y in zip(xs, ys))
     slope = num / den
     rms = math.sqrt(
         sum((y - slope * math.log(x)) ** 2 for x, y in zip(xs, ys)) / len(xs)
@@ -369,10 +365,13 @@ def cmd_grid(out) -> None:
         rows.append([A, B, q, _fmt(res.lhs), _fmt(res.envelope), _fmt(res.ratio)])
     header = "A,B,q,lhs,envelope,ratio"
     if out:
-        with open(out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header.split(","))
-            w.writerows(rows)
+        try:
+            with open(out, "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(header.split(","))
+                w.writerows(rows)
+        except OSError as exc:
+            raise DomainError(f"cannot write {out}: {exc}") from exc
         click.echo(f"wrote {out} ({len(rows)} rows)")
     else:
         click.echo(header)

@@ -9,10 +9,12 @@ exponent d1*d2.  Counting formulas come in two flavours everywhere:
 * ``convolution``  -- sum over u | gcd(m, n) of phi(u) tau(m/u) tau(n/u)
                       (resp. with phi*mu); algebraically identical.
 
-``stat_on_shape`` additionally ships a ``printed`` variant that evaluates the
-convolution with tau(d1^2*d2/u) in the last slot instead of tau(d1*d2/u); the
-two disagree (printed counts subgroups of Z/d1 x Z/(d1^2*d2)) and the lattice
-oracle adjudicates in favour of ``corrected``, which is the default.
+``stat_on_shape`` is the production path and evaluates both conventions by the
+convolution: ``corrected`` on Z/d1 x Z/(d1*d2) and ``printed`` with
+tau(d1^2*d2/u) in the last slot, i.e. on Z/d1 x Z/(d1^2*d2).  The two
+disagree and the lattice oracle adjudicates in favour of ``corrected``, which
+is the default.  ``gcd_sum`` (the default ``variant``) and the lattice
+enumeration ``subgroup_oracle`` are the oracles the tests hold it to.
 """
 
 from __future__ import annotations
@@ -80,9 +82,10 @@ def stat_on_shape(shape: GroupShape, stat: str, formula: str = "corrected") -> i
     """Evaluate a counting statistic on the group Z/d1 x Z/(d1*d2).
 
     stat is one of "s" (subgroups), "c" (cyclic subgroups), "tau_N"
-    (number of divisors of the group order).  ``formula="printed"``
-    evaluates the displayed convolution with tau(d1^2*d2/u) verbatim;
-    note printed(d1, d2) = gcd_sum(d1, d1^2*d2).
+    (number of divisors of the group order).  Both formulas use the
+    convolution: ``corrected`` counts in Z/d1 x Z/(d1*d2), ``printed``
+    evaluates the displayed tau(d1^2*d2/u) verbatim, i.e. counts in
+    Z/d1 x Z/(d1^2*d2).
     """
     d1, d2 = shape
     _check_mn(d1, d2)
@@ -90,14 +93,11 @@ def stat_on_shape(shape: GroupShape, stat: str, formula: str = "corrected") -> i
         return tau(d1 * d1 * d2)
     if stat not in ("s", "c"):
         raise DomainError(f"unknown stat {stat!r}")
-    weight = phi if stat == "s" else phi_star_mu
-    if formula == "corrected":
-        counter = subgroup_count if stat == "s" else cyclic_subgroup_count
-        return counter(d1, d1 * d2, "gcd_sum")
-    if formula == "printed":
-        order = d1 * d1 * d2
-        return sum(weight(u) * tau(d1 // u) * tau(order // u) for u in divisors(d1))
-    raise DomainError(f"unknown formula {formula!r}")
+    if formula not in ("corrected", "printed"):
+        raise DomainError(f"unknown formula {formula!r}")
+    counter = subgroup_count if stat == "s" else cyclic_subgroup_count
+    n = d1 * d2 if formula == "corrected" else d1 * d1 * d2
+    return counter(d1, n, "convolution")
 
 
 def _cyclic_span(g: tuple[int, int], m: int, n: int) -> frozenset[int]:

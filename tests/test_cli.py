@@ -98,10 +98,13 @@ def test_sweep_threads_must_be_positive(tmp_path):
     assert not (tmp_path / "a.csv").exists()
 
 
-def test_sweep_budget_requires_full():
-    code, _, err = run_cli("sweep", "--xmax", "600", "--out", "/tmp/nope.csv")
-    assert code == 2
-    assert "--full" in err
+def test_sweep_has_no_budget_gate(tmp_path):
+    out = tmp_path / "sweep.csv"
+    code, _, err = run_cli("sweep", "--xmax", "600", "--out", str(out))
+    assert code == 0, err
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 107  # the primes 5 <= p <= 600
 
 
 def test_fit_synthetic(tmp_path):
@@ -137,6 +140,23 @@ def test_fit_missing_column(tmp_path):
     path.write_text("x,y\n5,1\n")
     code, _, _ = run_cli("fit", "--in", str(path), "--column", "zzz")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "body, bad",
+    [
+        ("x,y\nabc,1\n", "x='abc'"),  # non-numeric cell
+        ("x,y\n5,1\n0,2\n", "got '0'"),  # log x undefined
+        ("x,y\n1,1\n1,2\n", "is 1"),  # every log x is 0: no slope
+    ],
+)
+def test_fit_bad_input_exit_2(tmp_path, body, bad):
+    path = tmp_path / "fit.csv"
+    path.write_text(body)
+    code, _, err = run_cli("fit", "--in", str(path), "--column", "y")
+    assert code == 2, err
+    assert err.startswith("error:")
+    assert str(path) in err and bad in err
 
 
 def test_density_f_ell():
@@ -211,6 +231,31 @@ def test_divap_mean_square():
     rows = dict(line.split(",") for line in out.strip().splitlines())
     assert set(rows) == {"lhs", "envelope", "ratio"}
     assert all(math.isfinite(float(v)) for v in rows.values())
+
+
+def test_divap_grid_unwritable_out_exit_2(tmp_path):
+    out = tmp_path / "missing" / "g.csv"
+    code, _, err = run_cli("divap", "grid", "--out", str(out))
+    assert code == 2, err
+    assert err.startswith("error:")
+    assert not out.exists()
+
+
+def test_import_starts_no_process_machinery():
+    # rows are computed in one process; importing the CLI must not pull in a pool
+    code = (
+        "import sys, ellstat.cli; "
+        "print([m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": "src"},
+        cwd=os.path.join(os.path.dirname(__file__), os.pardir),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_divap_invalid_q_exit_2():

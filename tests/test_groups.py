@@ -80,12 +80,16 @@ def test_stat_on_shape_examples():
 
 
 def test_printed_equals_gcd_sum_of_inflated_group():
-    for d1 in range(1, 7):
-        for d2 in range(1, 7):
-            printed = stat_on_shape(GroupShape(d1, d2), "s", "printed")
-            assert printed == subgroup_count(d1, d1 * d1 * d2, "gcd_sum")
-            printed_c = stat_on_shape(GroupShape(d1, d2), "c", "printed")
-            assert printed_c == cyclic_subgroup_count(d1, d1 * d1 * d2, "gcd_sum")
+    # the production convolution against the gcd-sum oracle: corrected counts
+    # in Z/d1 x Z/(d1*d2), printed in the inflated Z/d1 x Z/(d1^2*d2)
+    for stat, counter in (("s", subgroup_count), ("c", cyclic_subgroup_count)):
+        for d1 in range(1, 31):
+            for d2 in range(1, 31):
+                shape = GroupShape(d1, d2)
+                assert stat_on_shape(shape, stat, "corrected") == counter(d1, d1 * d2, "gcd_sum")
+                assert stat_on_shape(shape, stat, "printed") == counter(
+                    d1, d1 * d1 * d2, "gcd_sum"
+                )
 
 
 def test_bounds_sandwich():
