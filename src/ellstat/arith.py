@@ -263,18 +263,16 @@ def kronecker_chi(D: int, ell: int) -> int:
 
 
 @lru_cache(maxsize=1 << 16)
-def hurwitz_class_number(D: int) -> Fraction:
-    """Hurwitz class number H(D): the SL_2(Z)-classes of positive definite
-    binary quadratic forms of discriminant -D, primitive or not, with
-    a(x^2 + y^2) weighted 1/2 and a(x^2 + xy + y^2) weighted 1/3.
-
-    Counts the reduced forms (a, b, c), |b| <= a <= c with b >= 0 when
-    |b| = a or a = c; H(D) = 0 unless D = 0, 3 (mod 4).
+def hurwitz_sixfold(D: int) -> int:
+    """6 H(D), an integer: the reduced forms (a, b, c) of discriminant -D,
+    |b| <= a <= c with b >= 0 when |b| = a or a = c, each counted 6 times,
+    a(x^2 + y^2) 3 times and a(x^2 + xy + y^2) twice.  Zero unless
+    D = 0, 3 (mod 4).
     """
     if D <= 0:
-        raise DomainError(f"hurwitz_class_number requires D >= 1, got {D}")
+        raise DomainError(f"Hurwitz class number requires D >= 1, got {D}")
     if D % 4 in (1, 2):
-        return Fraction(0)
+        return 0
     sixfold = 0
     b = D % 2
     while 3 * b * b <= D:
@@ -293,4 +291,12 @@ def hurwitz_class_number(D: int) -> Fraction:
                     sixfold += 12  # (a, b, c) and (a, -b, c)
             a += 1
         b += 2
-    return Fraction(sixfold, 6)
+    return sixfold
+
+
+def hurwitz_class_number(D: int) -> Fraction:
+    """Hurwitz class number H(D): the SL_2(Z)-classes of positive definite
+    binary quadratic forms of discriminant -D, primitive or not, with
+    a(x^2 + y^2) weighted 1/2 and a(x^2 + xy + y^2) weighted 1/3.
+    """
+    return Fraction(hurwitz_sixfold(D), 6)

@@ -99,14 +99,16 @@ def cmd_brute(p, stats, formula, show_tally) -> None:
     """Exhaustive weighted averages over all nonsingular models of one prime."""
     _check_brute_p(p)
     names = [s.strip() for s in stats.split(",") if s.strip()]
+    if not names:
+        raise DomainError(f"no stats in {stats!r}")
     bad = [s for s in names if s not in _STAT_NAMES]
     if bad:
         raise DomainError(f"unknown stats: {', '.join(bad)}")
     tally = curves.tally_structures(p)
+    averages = curves.weighted_averages(tally)
     click.echo("stat,value")
     for name in names:
-        val = curves.weighted_average_from_tally(tally, _STAT_NAMES[name], formula)
-        click.echo(f"{name},{_fmt(val)}")
+        click.echo(f"{name},{_fmt(averages.select(_STAT_NAMES[name], formula))}")
     if show_tally:
         click.echo("d1,d2,count")
         for shape in sorted(tally.counts):
@@ -118,14 +120,8 @@ def cmd_brute(p, stats, formula, show_tally) -> None:
 # ----------------------------------------------------------------------
 
 def _sweep_row(p: int) -> list:
-    tally = curves.tally_structures(p)
-    avg = {
-        "s_corr": curves.weighted_average_from_tally(tally, "s", "corrected"),
-        "s_print": curves.weighted_average_from_tally(tally, "s", "printed"),
-        "c_corr": curves.weighted_average_from_tally(tally, "c", "corrected"),
-        "tau": curves.weighted_average_from_tally(tally, "tau_N", "corrected"),
-    }
-    return [p, avg["s_corr"], avg["s_print"], avg["c_corr"], avg["tau"]]
+    avg = curves.weighted_averages(curves.tally_structures(p))
+    return [p, avg.s_corrected, avg.s_printed, avg.c_corrected, avg.tau_N]
 
 
 @cli.command("sweep")
@@ -220,13 +216,15 @@ def cmd_compare(plist, stat) -> None:
         ps = [int(v) for v in plist.split(",") if v.strip()]
     except ValueError as exc:
         raise DomainError(f"bad prime list {plist!r}") from exc
+    if not ps:
+        raise DomainError(f"no primes in {plist!r}")
     click.echo(",".join(COMPARE_HEADER))
     for p in ps:
         _check_brute_p(p)
-        tally = curves.tally_structures(p)
+        averages = curves.weighted_averages(curves.tally_structures(p))
         brute = {
-            "corr": float(curves.weighted_average_from_tally(tally, stat, "corrected")),
-            "printed": float(curves.weighted_average_from_tally(tally, stat, "printed")),
+            "corr": float(averages.select(stat, "corrected")),
+            "printed": float(averages.select(stat, "printed")),
         }
         mts = {
             (k, n): analytic.main_term(p, stat, k_factor=k, normalization=n)

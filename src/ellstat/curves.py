@@ -5,12 +5,16 @@ shapes, structure tallies and weighted averages.
 group shape Z/d1 x Z/(d1*d2) without enumerating a single curve.  By
 Schoof's theorem, weighted by 1/|Aut(E)| the curves with trace t and
 E[n] in E(F_p) number H((4p - t^2)/n^2)/2 when n | p-1 and n^2 | p+1-t, H the
-Hurwitz class number (``arith.hurwitz_class_number``).  A class occupies
-(p-1)/|Aut(E)| models, so F(n) = (p-1) H((4p - t^2)/n^2)/2 models have E[n]
-rational; E[n] is rational exactly when n | d1, so Moebius inversion gives
-the models with d1 exactly m as sum_k mu(k) F(mk).  The count is exact and
-deterministic; dividing by p(p-1) gives the 1/|Aut| weighting with total
-mass 1.
+Hurwitz class number.  A class occupies (p-1)/|Aut(E)| models, so
+F(n) = (p-1) 6H((4p - t^2)/n^2)/12 models have E[n] rational, computed in
+integers from ``arith.hurwitz_sixfold``; E[n] is rational exactly when
+n | d1, so Moebius inversion gives the models with d1 exactly m as
+sum_k mu(k) F(mk).  The count is exact and deterministic; dividing by
+p(p-1) gives the 1/|Aut| weighting with total mass 1.
+
+``weighted_averages`` reads every average of a tally in one pass, one
+``groups.shape_statistics`` call per shape; ``weighted_average_from_tally``
+selects one of them.
 
 The per-model operations (``point_count``, ``group_shape``) are plain scalar
 functions; ``group_shape`` finds the exponent by a deterministic scan of all
@@ -20,17 +24,19 @@ points.  They are the oracle the tests hold the tally to, model by model.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .arith import divisors, factorize, hurwitz_class_number, is_prime, mu
+from .arith import divisors, factorize, hurwitz_sixfold, is_prime, mu
 from .errors import DomainError, InvariantError
-from .groups import GroupShape, stat_on_shape
+from .groups import SHAPE_STATS, GroupShape, shape_statistics, statistic_field
 
-_STATS = ("s", "c", "tau_N", "one")
+_STATS = (*SHAPE_STATS, "one")
 
 
 @dataclass(frozen=True)
@@ -180,22 +186,27 @@ def tally_structures(p: int) -> StructureTally:
     """Exact tally of group shapes over all p^2 - p nonsingular models.
 
     For each trace t with t^2 < 4p and N = p + 1 - t, the models with
-    E[n] in E(F_p) number F(n) = (p-1) H((4p - t^2)/n^2)/2 when n | p-1 and
-    n^2 | N (Schoof), H the Hurwitz class number; those with d1 exactly m
-    number sum_k mu(k) F(mk).
+    E[n] in E(F_p) number F(n) = (p-1) 6H((4p - t^2)/n^2)/12 when n | p-1
+    and n^2 | N (Schoof), H the Hurwitz class number; those with d1 exactly
+    m number sum_k mu(k) F(mk).
     """
     _require_p(p)
     counts: dict[GroupShape, int] = {}
     tmax = math.isqrt(4 * p - 1)
+    p1_divisors = divisors(p - 1)
     for t in range(-tmax, tmax + 1):
         N = p + 1 - t
         F = {}
-        for n in divisors(math.gcd(N, p - 1)):
+        for n in p1_divisors:
+            if n * n > N:
+                break
             if N % (n * n) == 0:
-                models = (p - 1) * hurwitz_class_number((4 * p - t * t) // (n * n)) / 2
-                if models.denominator != 1:
-                    raise InvariantError(f"non-integral model count {models} at p={p}, t={t}, n={n}")
-                F[n] = int(models)
+                models, rem = divmod((p - 1) * hurwitz_sixfold((4 * p - t * t) // (n * n)), 12)
+                if rem:
+                    raise InvariantError(
+                        f"non-integral model count {models * 12 + rem}/12 at p={p}, t={t}, n={n}"
+                    )
+                F[n] = models
         for m in F:
             exact = sum(mu(mk // m) * F[mk] for mk in F if mk % m == 0)
             if exact < 0:
@@ -233,19 +244,38 @@ def empirical_probability(tally: StructureTally, shape: GroupShape) -> Fraction:
     return Fraction(tally.counts.get(shape, 0), p * (p - 1))
 
 
+class TallyAverages(NamedTuple):
+    """Every automorphism-weighted average of one tally, exactly: the fields
+    of ``groups.ShapeStatistics`` and the total mass ``one``."""
+
+    s_corrected: Fraction
+    s_printed: Fraction
+    c_corrected: Fraction
+    c_printed: Fraction
+    tau_N: Fraction
+    one: Fraction
+
+    def select(self, stat: str, formula: str = "corrected") -> Fraction:
+        """The average of ``stat`` under ``formula``; see ``groups.statistic_field``."""
+        return getattr(self, statistic_field(stat, formula, _STATS))
+
+
+def weighted_averages(tally: StructureTally) -> TallyAverages:
+    """All weighted averages of a tally in one pass over its shapes."""
+    counts = tally.counts.values()
+    columns = zip(*map(shape_statistics, tally.counts))
+    mass = tally.p * (tally.p - 1)
+    return TallyAverages(
+        *(Fraction(sum(map(operator.mul, counts, column)), mass) for column in columns),
+        Fraction(tally.total(), mass),
+    )
+
+
 def weighted_average_from_tally(
     tally: StructureTally, stat: str, formula: str = "corrected"
 ) -> Fraction:
     """Automorphism-weighted average of a shape statistic, exactly."""
-    if stat not in _STATS:
-        raise DomainError(f"unknown stat {stat!r}")
-    p = tally.p
-    if stat == "one":
-        return Fraction(tally.total(), p * (p - 1))
-    acc = sum(
-        c * stat_on_shape(shape, stat, formula) for shape, c in tally.counts.items()
-    )
-    return Fraction(acc, p * (p - 1))
+    return weighted_averages(tally).select(stat, formula)
 
 
 def weighted_average(

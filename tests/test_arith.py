@@ -10,6 +10,7 @@ from ellstat.arith import (
     divisors,
     factorize,
     hurwitz_class_number,
+    hurwitz_sixfold,
     is_prime,
     kronecker_chi,
     multiplicative_suite,
@@ -168,3 +169,20 @@ def test_hurwitz_class_number_kronecker_relation():
     for p in primes_up_to(2423)[2:]:
         tmax = math.isqrt(4 * p - 1)
         assert sum(hurwitz_class_number(4 * p - t * t) for t in range(-tmax, tmax + 1)) == 2 * p
+
+
+def test_hurwitz_sixfold_is_six_h_and_counts_three_squares():
+    # r3(n) = 12 (H(4n) - 2 H(n)) (Gauss), with r3 counted point by point
+    M = 500
+    r3 = [0] * (M + 1)
+    k = math.isqrt(M)
+    for x in range(-k, k + 1):
+        for y in range(-k, k + 1):
+            for z in range(-k, k + 1):
+                if x * x + y * y + z * z <= M:
+                    r3[x * x + y * y + z * z] += 1
+    for D in range(1, 4 * M + 1):
+        six = hurwitz_sixfold(D)
+        assert isinstance(six, int) and hurwitz_class_number(D) == Fraction(six, 6)
+    for n in range(1, M + 1):
+        assert r3[n] == 2 * hurwitz_sixfold(4 * n) - 4 * hurwitz_sixfold(n), n

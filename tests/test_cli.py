@@ -61,6 +61,14 @@ def test_brute_domain_error_exit_2():
     ]
 
 
+def test_empty_lists_exit_2(capsys):
+    # a list of only separators is an error, not a header with no rows
+    for argv in (["brute", "--p", "5", "--stats", ","], ["compare", "--p", ","]):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), argv
+
+
 def test_usage_error_exit_1():
     code, _, _ = run_cli("brute", "--nonsense")
     assert code == 1

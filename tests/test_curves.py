@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ellstat.arith import factorize, primes_up_to
+from ellstat.arith import factorize, primes_up_to, tau
 from ellstat.curves import (
     GroupShape,
     empirical_probability,
@@ -14,9 +14,10 @@ from ellstat.curves import (
     tally_structures,
     weighted_average,
     weighted_average_from_tally,
+    weighted_averages,
 )
 from ellstat.errors import DomainError
-from ellstat.groups import stat_on_shape
+from ellstat.groups import cyclic_subgroup_count, stat_on_shape, subgroup_count
 
 
 def test_point_count_example():
@@ -164,6 +165,28 @@ def test_weighted_average_rejects():
         weighted_average(4, "s")
     with pytest.raises(DomainError):
         weighted_average(5, "bogus")
+    t = tally_structures(7)
+    for stat in ("s", "c", "tau_N", "one"):
+        with pytest.raises(DomainError):
+            weighted_average_from_tally(t, stat, "bogus")
+
+
+def test_weighted_averages_match_per_shape_convolution():
+    # the one-pass averages against per-shape sums of the convolution oracle
+    for p in primes_up_to(200)[2:]:
+        t = tally_structures(p)
+        mass = p * (p - 1)
+        expected = {}
+        for name, counter in (("s", subgroup_count), ("c", cyclic_subgroup_count)):
+            for formula, inflate in (("corrected", 1), ("printed", 2)):
+                acc = sum(
+                    c * counter(sh.d1, sh.d1**inflate * sh.d2, "convolution")
+                    for sh, c in t.counts.items()
+                )
+                expected[f"{name}_{formula}"] = Fraction(acc, mass)
+        expected["tau_N"] = Fraction(sum(c * tau(sh.order) for sh, c in t.counts.items()), mass)
+        expected["one"] = Fraction(1)
+        assert weighted_averages(t)._asdict() == expected, p
 
 
 def test_supersingular_trend():

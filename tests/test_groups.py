@@ -5,6 +5,7 @@ from ellstat.errors import BudgetError, DomainError
 from ellstat.groups import (
     GroupShape,
     cyclic_subgroup_count,
+    shape_statistics,
     stat_on_shape,
     subgroup_count,
     subgroup_oracle,
@@ -79,17 +80,45 @@ def test_stat_on_shape_examples():
     assert stat_on_shape(GroupShape(2, 3), "c", "corrected") == cyclic_subgroup_count(2, 6)
 
 
+def test_stat_on_shape_rejects_unknown_stat_and_formula():
+    shape = GroupShape(2, 3)
+    for stat in ("s", "c", "tau_N"):
+        with pytest.raises(DomainError):
+            stat_on_shape(shape, stat, "bogus")
+    for stat in ("one", "bogus"):
+        with pytest.raises(DomainError):
+            stat_on_shape(shape, stat)
+
+
+def test_shape_statistics_match_lattice_oracle():
+    # every group Z/d1 x Z/n that either convention assigns to a shape, up to
+    # d1*n <= 200; the oracle's cost grows fast (about 55 s up to 1000)
+    checked = 0
+    for d1 in range(1, 15):
+        for d2 in range(1, 200 // (d1 * d1) + 1):
+            st = shape_statistics(GroupShape(d1, d2))
+            for n, s, c in (
+                (d1 * d2, st.s_corrected, st.c_corrected),
+                (d1 * d1 * d2, st.s_printed, st.c_printed),
+            ):
+                if d1 * n <= 200:
+                    assert subgroup_oracle(d1, n) == (s, c), (d1, d2, n)
+                    checked += 1
+    assert checked == 548
+
+
 def test_printed_equals_gcd_sum_of_inflated_group():
-    # the production convolution against the gcd-sum oracle: corrected counts
-    # in Z/d1 x Z/(d1*d2), printed in the inflated Z/d1 x Z/(d1^2*d2)
-    for stat, counter in (("s", subgroup_count), ("c", cyclic_subgroup_count)):
-        for d1 in range(1, 31):
-            for d2 in range(1, 31):
-                shape = GroupShape(d1, d2)
-                assert stat_on_shape(shape, stat, "corrected") == counter(d1, d1 * d2, "gcd_sum")
-                assert stat_on_shape(shape, stat, "printed") == counter(
-                    d1, d1 * d1 * d2, "gcd_sum"
-                )
+    # the production local factors against the gcd-sum oracle: corrected
+    # counts in Z/d1 x Z/(d1*d2), printed in the inflated Z/d1 x Z/(d1^2*d2)
+    for d1 in range(1, 41):
+        for d2 in range(1, 41):
+            N = d1 * d1 * d2
+            st = shape_statistics(GroupShape(d1, d2))
+            assert st.s_corrected == subgroup_count(d1, d1 * d2, "gcd_sum")
+            assert st.s_printed == subgroup_count(d1, N, "gcd_sum")
+            assert st.c_corrected == cyclic_subgroup_count(d1, d1 * d2, "gcd_sum")
+            assert st.c_printed == cyclic_subgroup_count(d1, N, "gcd_sum")
+            assert st.tau_N == tau(N)
 
 
 def test_bounds_sandwich():
