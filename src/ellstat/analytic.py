@@ -50,6 +50,13 @@ l^(2-v)/(l^2-1) or (l^2+l+1)/(l^(v+1)(l+1)) for l | d1 as v = v_l(p-1) or
 v < v_l(p-1).  Its oracle, used by the tests only, is the normalized matrix
 count ``densities.level_congruence_count`` of the telescoped trace-congruence
 class at level R = 2v + 1.
+
+Every number in the printed form is a product of the primes of p - 1, so
+the one factorization of p - 1 gives them all: the divisors d1, u and the
+k | d1^2/u are generated from exponent vectors, with phi, tau and the weight
+read from the exponents, and the local factors are computed once per d1.
+Nothing above p - 1 is factored.  The per-k path, which factors each k and
+calls ``local_factor`` per prime, is the reference the tests compare with.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import divisors, factorize, is_prime, phi, phi_star_mu, primes_up_to, sigma, tau, valuation
+from .arith import divisors, factorize, is_prime, phi, phi_star_mu, primes_up_to, sigma, valuation
 # level_congruence_count is unused here; perfbench's span self-test asserts this binding.
 from .densities import DEFAULT_NORMALIZATION, frobenius_law, level_congruence_count  # noqa: F401
 from .errors import DomainError, InvariantError
@@ -163,29 +170,58 @@ def main_term_components(
     if k_factor == "C_local":
         half = _local_components(p, stat)
         return half if normalization == "half" else {d1: 2 * v for d1, v in half.items()}
-    weight = phi if stat == "s" else phi_star_mu
+    fac = factorize(p - 1)
+    primes = [ell for ell, _ in fac]
+    weight = _phi_at if stat == "s" else _phi_star_mu_at
     out: dict[int, float] = {}
-    for d1 in divisors(p - 1):
-        prod = float(euler_product(p, d1))
+    for d1, a in _exponent_divisors(fac):
+        factors = [_euler_factor_at(p, ell, v) for ell, v in zip(primes, a)]
+        # (k, phi(k), K(k)) for every k | d1^2, ascending.  K(k) is 1 for
+        # "A_unit"; for "B_inverse" it depends on k only through the primes
+        # dividing it, so it is formed once per set of primes.
+        K: dict[tuple[bool, ...], float] = {}
+        ks = []
+        for k, c in _exponent_divisors(zip(primes, [2 * v for v in a])):
+            support = tuple(ck > 0 for ck in c) if k_factor == "B_inverse" else ()
+            if support not in K:
+                K[support] = float(math.prod(E for E, on in zip(factors, support) if on))
+            ks.append((k, math.prod(_phi_at(ell, ck) for ell, ck in zip(primes, c)), K[support]))
         inner = 0.0
-        for u in divisors(d1):
-            wu = weight(u)
+        for u, b in _exponent_divisors(zip(primes, a)):
+            wu = math.prod(weight(ell, bu) for ell, bu in zip(primes, b))
             if wu == 0:
                 continue
+            m = d1 * d1 // u
             ksum = 0.0
-            for k in divisors(d1 * d1 // u):
-                term = (math.log((p + 1) / (u * k * k)) + 2 * EULER_GAMMA) * phi(k) / k
-                if k_factor == "B_inverse" and k > 1:
-                    adj = Fraction(1)
-                    for ell, _ in factorize(k):
-                        adj *= local_factor(p, d1, ell)
-                    term /= float(adj)
-                ksum += term
+            for k, phik, adj in ks:
+                if m % k == 0:
+                    ksum += (math.log((p + 1) / (u * k * k)) + 2 * EULER_GAMMA) * phik / k / adj
             ksum += math.log((p + 1) / u) + 2 * EULER_GAMMA
-            inner += wu * tau(d1 // u) * ksum
-        val = prod * inner / (d1 * d1)
+            inner += wu * math.prod(v - bu + 1 for v, bu in zip(a, b)) * ksum
+        val = float(math.prod(factors)) * inner / (d1 * d1)
         out[d1] = val / 2 if normalization == "half" else val
     return out
+
+
+def _exponent_divisors(fac) -> list[tuple[int, tuple[int, ...]]]:
+    """Every divisor n of prod l^e over the (l, e) pairs of fac, ascending,
+    with its exponent vector (v_l(n) for each l, in the order of fac)."""
+    out = [(1, ())]
+    for ell, e in fac:
+        out = [(n * ell**c, vs + (c,)) for n, vs in out for c in range(e + 1)]
+    return sorted(out)
+
+
+def _phi_at(ell: int, c: int) -> int:
+    """phi(l^c)."""
+    return ell ** (c - 1) * (ell - 1) if c else 1
+
+
+def _phi_star_mu_at(ell: int, c: int) -> int:
+    """(phi*mu)(l^c), as in arith.multiplicative_suite."""
+    if c < 2:
+        return ell - 2 if c else 1
+    return ell ** (c - 2) * (ell - 1) ** 2
 
 
 @lru_cache(maxsize=None)
@@ -301,7 +337,10 @@ def bound_envelopes(p: int) -> dict[str, float]:
     _require_p(p)
     logp = math.log(p)
     loglogp = math.log(logp)
-    d1_sum = sum(tau(d1 * d1) / d1 for d1 in divisors(p - 1))
+    # tau(d1^2) and tau((p-1)^2) from the exponents of p - 1, whose squares
+    # are never factored
+    fac = factorize(p - 1)
+    d1_sum = sum(math.prod(2 * v + 1 for v in a) / d1 for d1, a in _exponent_divisors(fac))
     sigma_ratio = sigma(p - 1) / (p - 1)
     lower_s = sum(sigma(d1) / d1**2 for d1 in divisors(p - 1))
     lower_c = sum(
@@ -312,7 +351,7 @@ def bound_envelopes(p: int) -> dict[str, float]:
         "upper_s": logp ** (1 + math.exp(EULER_GAMMA)) * loglogp * d1_sum,
         "upper_s_min_form": logp ** (1 + math.exp(EULER_GAMMA))
         * loglogp
-        * min(logp**4, tau((p - 1) ** 2) * sigma_ratio),
+        * min(logp**4, math.prod(2 * e + 1 for _, e in fac) * sigma_ratio),
         "lower_s": lower_s,
         "lower_c": lower_c,
         "sigma_ratio": sigma_ratio,

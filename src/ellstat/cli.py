@@ -106,13 +106,12 @@ def cmd_brute(p, stats, formula, show_tally) -> None:
         raise DomainError(f"unknown stats: {', '.join(bad)}")
     tally = curves.tally_structures(p)
     averages = curves.weighted_averages(tally)
-    click.echo("stat,value")
-    for name in names:
-        click.echo(f"{name},{_fmt(averages.select(_STAT_NAMES[name], formula))}")
+    lines = ["stat,value"]
+    lines += [f"{name},{_fmt(averages.select(_STAT_NAMES[name], formula))}" for name in names]
     if show_tally:
-        click.echo("d1,d2,count")
-        for shape in sorted(tally.counts):
-            click.echo(f"{shape.d1},{shape.d2},{tally.counts[shape]}")
+        lines.append("d1,d2,count")
+        lines += [f"{shape.d1},{shape.d2},{tally.counts[shape]}" for shape in sorted(tally.counts)]
+    click.echo("\n".join(lines))
 
 
 # ----------------------------------------------------------------------
@@ -218,9 +217,10 @@ def cmd_compare(plist, stat) -> None:
         raise DomainError(f"bad prime list {plist!r}") from exc
     if not ps:
         raise DomainError(f"no primes in {plist!r}")
-    click.echo(",".join(COMPARE_HEADER))
     for p in ps:
         _check_brute_p(p)
+    click.echo(",".join(COMPARE_HEADER))
+    for p in ps:
         averages = curves.weighted_averages(curves.tally_structures(p))
         brute = {
             "corr": float(averages.select(stat, "corrected")),

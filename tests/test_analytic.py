@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -18,7 +19,8 @@ from ellstat.analytic import (
     main_term,
     main_term_components,
 )
-from ellstat.arith import divisors, factorize, is_prime, primes_up_to, valuation
+from ellstat import analytic, arith
+from ellstat.arith import divisors, factorize, is_prime, phi, phi_star_mu, primes_up_to, sigma, tau, valuation
 from ellstat.curves import tally_structures, weighted_average_from_tally
 from ellstat.densities import _bucket_count_level, _count_trace_fixed_level, _norm3, level_congruence_count
 from ellstat.errors import DomainError
@@ -136,6 +138,66 @@ def test_main_term_d1_1_collapse():
         assert comp[1] == pytest.approx(want, rel=1e-12)
         half = main_term_components(p, "s", "A_unit", "half")
         assert half[1] == pytest.approx(want / 2, rel=1e-12)
+
+
+def _printed_components_per_k(p, stat, k_factor):
+    """Reference for the printed forms at normalization "paper": every
+    divisor k of d1^2/u is factored, and K(k) multiplies local_factor over
+    its primes.  local_factor is memoized per call only to keep the test fast."""
+    weight = phi if stat == "s" else phi_star_mu
+    factor = functools.lru_cache(maxsize=None)(local_factor)
+    out = {}
+    for d1 in divisors(p - 1):
+        prod = float(euler_product(p, d1))
+        inner = 0.0
+        for u in divisors(d1):
+            wu = weight(u)
+            if wu == 0:
+                continue
+            ksum = 0.0
+            for k in divisors(d1 * d1 // u):
+                term = (math.log((p + 1) / (u * k * k)) + 2 * EULER_GAMMA) * phi(k) / k
+                if k_factor == "B_inverse" and k > 1:
+                    adj = Fraction(1)
+                    for ell, _ in factorize(k):
+                        adj *= factor(p, d1, ell)
+                    term /= float(adj)
+                ksum += term
+            ksum += math.log((p + 1) / u) + 2 * EULER_GAMMA
+            inner += wu * tau(d1 // u) * ksum
+        out[d1] = prod * inner / (d1 * d1)
+    return out
+
+
+def test_printed_components_match_per_k_reference():
+    # exact float equality: the summation order over d1, u and k is the same
+    for p in primes_up_to(1000):
+        if p < 5:
+            continue
+        for stat in ("s", "c"):
+            for k_factor in ("A_unit", "B_inverse"):
+                want = _printed_components_per_k(p, stat, k_factor)
+                got = main_term_components(p, stat, k_factor, "paper")
+                assert list(got) == list(want) and got == want, (p, stat, k_factor)
+                half = main_term_components(p, stat, k_factor, "half")
+                assert half == {d1: v / 2 for d1, v in want.items()}, (p, stat, k_factor)
+
+
+def test_printed_main_term_factors_nothing_above_p_minus_1(monkeypatch):
+    seen = []
+    original = arith.factorize
+
+    def recording(n):
+        seen.append(n)
+        return original(n)
+
+    monkeypatch.setattr(arith, "factorize", recording)
+    monkeypatch.setattr(analytic, "factorize", recording)
+    for p in (1801, 2003):
+        for stat in ("s", "c"):
+            seen.clear()
+            main_term(p, stat, "B_inverse")
+            assert seen and max(seen) <= p - 1, (p, stat, max(seen))
 
 
 def test_main_term_cyclic_below_subgroup():
@@ -350,3 +412,28 @@ def test_bound_envelopes():
     assert env["sigma_ratio"] == pytest.approx(2.17, rel=1e-12)
     assert env["tau_d1sq_over_d1"] == pytest.approx(6.75, rel=1e-12)
     assert env["upper_s"] == pytest.approx(726.0196887085857, rel=1e-9)
+
+
+def test_bound_envelopes_match_divisor_formula():
+    # the tau values read from the exponents of p - 1 equal tau(d1^2) and
+    # tau((p-1)^2) factored directly
+    for p in primes_up_to(600):
+        if p < 5:
+            continue
+        logp = math.log(p)
+        loglogp = math.log(logp)
+        d1_sum = sum(tau(d1 * d1) / d1 for d1 in divisors(p - 1))
+        sigma_ratio = sigma(p - 1) / (p - 1)
+        want = {
+            "upper_s": logp ** (1 + math.exp(EULER_GAMMA)) * loglogp * d1_sum,
+            "upper_s_min_form": logp ** (1 + math.exp(EULER_GAMMA))
+            * loglogp
+            * min(logp**4, tau((p - 1) ** 2) * sigma_ratio),
+            "lower_s": sum(sigma(d1) / d1**2 for d1 in divisors(p - 1)),
+            "lower_c": sum(
+                sum(sigma(d) * (d1 // d) for d in divisors(d1)) / d1**2 for d1 in divisors(p - 1)
+            ),
+            "sigma_ratio": sigma_ratio,
+            "tau_d1sq_over_d1": d1_sum,
+        }
+        assert bound_envelopes(p) == want, p

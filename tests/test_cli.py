@@ -69,6 +69,14 @@ def test_empty_lists_exit_2(capsys):
         assert out == "" and err.startswith("error: "), argv
 
 
+def test_compare_bad_prime_prints_nothing(capsys):
+    # every prime is checked before the header, so no row precedes the error
+    for plist in ("719,4", "11,5003"):
+        assert main(["compare", "--p", plist]) == 2, plist
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: p must be a prime"), plist
+
+
 def test_usage_error_exit_1():
     code, _, _ = run_cli("brute", "--nonsense")
     assert code == 1
