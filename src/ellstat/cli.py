@@ -226,11 +226,11 @@ def cmd_compare(plist, stat) -> None:
             "corr": float(averages.select(stat, "corrected")),
             "printed": float(averages.select(stat, "printed")),
         }
-        mts = {
-            (k, n): analytic.main_term(p, stat, k_factor=k, normalization=n)
-            for k in ("A_unit", "B_inverse")
-            for n in ("paper", "half")
-        }
+        mts = {}
+        for k in ("A_unit", "B_inverse"):
+            # "half" halves every component, exactly in floating point
+            mts[(k, "paper")] = analytic.main_term(p, stat, k_factor=k, normalization="paper")
+            mts[(k, "half")] = mts[(k, "paper")] / 2
         row = [str(p), _fmt(brute["corr"]), _fmt(brute["printed"])]
         row += [_fmt(mts[(k, n)]) for k in ("A_unit", "B_inverse") for n in ("paper", "half")]
         for k in ("A_unit", "B_inverse"):

@@ -7,10 +7,18 @@ Schoof's theorem, weighted by 1/|Aut(E)| the curves with trace t and
 E[n] in E(F_p) number H((4p - t^2)/n^2)/2 when n | p-1 and n^2 | p+1-t, H the
 Hurwitz class number.  A class occupies (p-1)/|Aut(E)| models, so
 F(n) = (p-1) 6H((4p - t^2)/n^2)/12 models have E[n] rational, computed in
-integers from ``arith.hurwitz_sixfold``; E[n] is rational exactly when
+integers from the sixfold 6H; E[n] is rational exactly when
 n | d1, so Moebius inversion gives the models with d1 exactly m as
 sum_k mu(k) F(mk).  The count is exact and deterministic; dividing by
 p(p-1) gives the 1/|Aut| weighting with total mass 1.
+
+The n = 1 sixfolds 6H(4p - t^2) of all traces come from one O(p) pass over
+the reduced forms (a, b, c) with 4ac - b^2 = 4p - t^2: whether c is an
+integer depends only on t mod 2a, so each (a, b) and each such residue adds
+the weight of ``arith.hurwitz_sixfold`` (12, or 6 when b is 0 or a; 3, 2 or
+6 when c = a) along one progression of traces t >= 0, and the negative
+traces mirror them.  The rows n > 1 visit only the traces with n^2 | N and
+read ``arith.hurwitz_sixfold`` directly.
 
 ``weighted_averages`` reads every average of a tally in one pass, one
 ``groups.shape_statistics`` call per shape; ``weighted_average_from_tally``
@@ -182,6 +190,56 @@ def group_shape(p: int, a: int, b: int, N: int | None = None) -> GroupShape:
 # the tally by Schoof's count
 # ----------------------------------------------------------------------
 
+def _trace_sixfolds(p: int) -> list[int]:
+    """6H(4p - t^2) for t = 0, 1, ..., isqrt(4p - 1), in one pass over the
+    reduced forms (a, b, c), 0 <= b <= a <= c, with 4ac - b^2 = 4p - t^2.
+
+    c is an integer iff t^2 = b^2 + 4p (mod 4a), which depends only on
+    r = t mod 2a because (t + 2a)^2 = t^2 (mod 4a), and r and 2a - r give
+    the same square.  So for each a, each r in [0, a] and each b in [0, a]
+    with b^2 = r^2 - 4p (mod 4a), the traces t = r, r + 2a, ... and
+    t = 2a - r, 4a - r, ... up to T = isqrt(4p + b^2 - 4a^2) (where c >= a
+    stops holding) each gain one form, with the weights of
+    ``arith.hurwitz_sixfold``: 12, or 6 when b is 0 or a; at t = T with
+    T^2 = 4p + b^2 - 4a^2 the form has c = a and weighs 3 (b = 0), 2 (b = a)
+    or 6.  About 2p/3 residue lookups and as many insertions, plus one step
+    per form, and the forms number sum_t H(4p - t^2) = 2p, so the pass is
+    O(p).
+    """
+    four_p = 4 * p
+    sixfolds = [0] * (math.isqrt(four_p - 1) + 1)
+    a = 1
+    while 3 * a * a < four_p:
+        modulus, period = 4 * a, 2 * a
+        by_square: dict[int, list[int]] = {}
+        for b in range(a + 1):
+            by_square.setdefault(b * b % modulus, []).append(b)
+        for r in range(a + 1):
+            for b in by_square.get((r * r - four_p) % modulus, ()):
+                top = four_p + b * b - modulus * a
+                if top < r * r:
+                    continue
+                T = math.isqrt(top)
+                weight = 6 if b == 0 or b == a else 12
+                for start in (r,) if r in (0, a) else (r, period - r):
+                    for t in range(start, T + 1, period):
+                        sixfolds[t] += weight
+                    if T * T == top and T % period == start:
+                        sixfolds[T] += (3 if b == 0 else 2 if b == a else 6) - weight
+        a += 1
+    return sixfolds
+
+
+def _model_count(p: int, t: int, n: int, sixfold: int) -> int:
+    """The models (p - 1) 6H/12 with trace t and E[n] rational, given 6H."""
+    models, rem = divmod((p - 1) * sixfold, 12)
+    if rem:
+        raise InvariantError(
+            f"non-integral model count {models * 12 + rem}/12 at p={p}, t={t}, n={n}"
+        )
+    return models
+
+
 def tally_structures(p: int) -> StructureTally:
     """Exact tally of group shapes over all p^2 - p nonsingular models.
 
@@ -189,24 +247,31 @@ def tally_structures(p: int) -> StructureTally:
     E[n] in E(F_p) number F(n) = (p-1) 6H((4p - t^2)/n^2)/12 when n | p-1
     and n^2 | N (Schoof), H the Hurwitz class number; those with d1 exactly
     m number sum_k mu(k) F(mk).
+
+    The n = 1 sixfolds of every trace come from one O(p) pass over the
+    reduced forms, grouped by t mod 2a (``_trace_sixfolds``); 6H depends only
+    on t^2, so the pass enumerates t >= 0 and the negative traces mirror it.
+    The rows n > 1 visit only the traces t = p + 1 (mod n^2) and read
+    ``arith.hurwitz_sixfold`` at (4p - t^2)/n^2 <= p, whose cache is shared
+    across the primes of a sweep.
     """
     _require_p(p)
-    counts: dict[GroupShape, int] = {}
     tmax = math.isqrt(4 * p - 1)
-    p1_divisors = divisors(p - 1)
+    sixfolds = _trace_sixfolds(p)
+    rows: dict[int, dict[int, int]] = {}
+    for n in divisors(p - 1)[1:]:
+        step = n * n
+        for t in range(-tmax + (p + 1 + tmax) % step, tmax + 1, step):
+            rows.setdefault(t, {1: sixfolds[abs(t)]})[n] = hurwitz_sixfold((4 * p - t * t) // step)
+    counts: dict[GroupShape, int] = {}
     for t in range(-tmax, tmax + 1):
         N = p + 1 - t
-        F = {}
-        for n in p1_divisors:
-            if n * n > N:
-                break
-            if N % (n * n) == 0:
-                models, rem = divmod((p - 1) * hurwitz_sixfold((4 * p - t * t) // (n * n)), 12)
-                if rem:
-                    raise InvariantError(
-                        f"non-integral model count {models * 12 + rem}/12 at p={p}, t={t}, n={n}"
-                    )
-                F[n] = models
+        if t not in rows:  # d1 = 1 is the only candidate
+            models = _model_count(p, t, 1, sixfolds[abs(t)])
+            if models:
+                counts[GroupShape(1, N)] = models
+            continue
+        F = {n: _model_count(p, t, n, sixfold) for n, sixfold in rows[t].items()}
         for m in F:
             exact = sum(mu(mk // m) * F[mk] for mk in F if mk % m == 0)
             if exact < 0:

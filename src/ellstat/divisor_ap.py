@@ -30,6 +30,12 @@ class MeanSquareResult(NamedTuple):
     branch: str
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 def _count_ap(lo: int, hi: int, r: int, mod: int) -> int:
     """#{n : lo < n <= hi, n == r (mod mod)} for any integers lo <= hi."""
     return (hi - r) // mod - (lo - r) // mod
@@ -43,6 +49,7 @@ def tau_sum_upto(X: float, a: int = 0, q: int = 1) -> int:
     """
     if q < 1:
         raise DomainError(f"modulus must be >= 1, got {q}")
+    _require_finite(X=X)
     X = math.floor(X)
     if X < 1:
         return 0
@@ -86,6 +93,7 @@ def tau_sum_window(A: float, B: float, a: int = 0, q: int = 1) -> int:
     """sum of tau(n) over A < n <= B with n == a (mod q), exactly (sieve)."""
     if q < 1:
         raise DomainError(f"modulus must be >= 1, got {q}")
+    _require_finite(A=A, B=B)
     Ai, Bi = math.floor(A), math.floor(B)
     if Bi <= Ai:
         return 0
@@ -148,6 +156,7 @@ def mean_square_experiment(A: float, B: float, q: int) -> MeanSquareResult:
     at the branch boundary the maximum of both values is used.  Hypotheses
     1 <= q <= sqrt(A) and B - A <= sqrt(AB) are enforced.
     """
+    _require_finite(A=A, B=B)
     Ai, Bi = math.floor(A), math.floor(B)
     if not (1 <= Ai < Bi):
         raise DomainError(f"need 1 <= A < B, got A={A}, B={B}")

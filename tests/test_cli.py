@@ -279,6 +279,21 @@ def test_divap_invalid_q_exit_2():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("delta", "--X", "nan"),
+        ("delta", "--X", "inf"),
+        ("delta", "--X", "-inf", "--q", "3"),
+        ("mean-square", "--A", "nan", "--B", "140", "--q", "1"),
+        ("mean-square", "--A", "100", "--B", "inf", "--q", "1"),
+    ],
+)
+def test_divap_non_finite_exit_2(args, capsys):
+    assert main(["divap", *args]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_main_callable_directly(tmp_path, capsys):
     assert main(["brute", "--p", "4"]) == 2
     assert main(["definitely-not-a-command"]) == 1

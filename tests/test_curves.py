@@ -1,11 +1,13 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ellstat.arith import factorize, primes_up_to, tau
+from ellstat.arith import divisors, factorize, hurwitz_sixfold, mu, primes_up_to, tau
 from ellstat.curves import (
     GroupShape,
+    _trace_sixfolds,
     empirical_probability,
     group_shape,
     hasse_admissible,
@@ -99,6 +101,67 @@ def test_tally_small_primes_match_per_model():
                 sh = group_shape(p, a, b)
                 counts[sh] = counts.get(sh, 0) + 1
         assert counts == tally.counts
+
+
+def _reference_counts(p):
+    """The tally one trace at a time: hurwitz_sixfold for every trace t and
+    every n | p-1 with n^2 | N, then the Moebius step."""
+    counts = {}
+    tmax = math.isqrt(4 * p - 1)
+    for t in range(-tmax, tmax + 1):
+        N = p + 1 - t
+        F = {}
+        for n in divisors(p - 1):
+            if n * n > N:
+                break
+            if N % (n * n) == 0:
+                F[n] = (p - 1) * hurwitz_sixfold((4 * p - t * t) // (n * n)) // 12
+        for m in F:
+            exact = sum(mu(mk // m) * F[mk] for mk in F if mk % m == 0)
+            if exact:
+                counts[GroupShape(m, N // (m * m))] = exact
+    return counts
+
+
+def test_trace_sixfolds_match_per_trace_scan():
+    for p in primes_up_to(2999)[2:]:
+        sixfolds = _trace_sixfolds(p)
+        assert len(sixfolds) == math.isqrt(4 * p - 1) + 1
+        assert sixfolds == [hurwitz_sixfold(4 * p - t * t) for t in range(len(sixfolds))], p
+
+
+def test_tally_matches_per_trace_reference():
+    for p in [*primes_up_to(1500)[2:], 20011]:
+        assert tally_structures(p).counts == _reference_counts(p), p
+
+
+def test_full_level_n_model_counts():
+    """Models with n | d1, i.e. E[n] in E(F_p), counted without class numbers.
+
+    n = 2: E[2] is rational iff x^3 + ax + b = (x - e1)(x - e2)(x - e3) with
+    distinct e_i summing to 0: (p-1)(p-2) ordered triples, so (p-1)(p-2)/6
+    models.
+
+    n = 3, 4, 5 with n | p-1: the modular curve X(n) has genus 0 and
+    |SL2(Z/n)|/(2n) cusps (4, 6, 12), all rational when mu_n is in F_p, so
+    Y(n)(F_p) has p + 1 - cusps points.  A point of Y(n) is a curve with a
+    basis of E[n] of fixed Weil pairing; each curve with E[n] rational has
+    |SL2(Z/n)|/|Aut(E)| of them up to isomorphism (Aut acts freely for
+    n >= 3), and its class occupies (p-1)/|Aut(E)| models.  So the models
+    number (p-1)(p+1-cusps)/|SL2(Z/n)|, with |SL2(Z/n)| = 24, 48, 120:
+    (p-1)(p-3)/24, (p-1)(p-5)/48 and (p-1)(p-11)/120.
+    """
+    closed = {
+        2: lambda p: (p - 1) * (p - 2) // 6,
+        3: lambda p: (p - 1) * (p - 3) // 24,
+        4: lambda p: (p - 1) * (p - 5) // 48,
+        5: lambda p: (p - 1) * (p - 11) // 120,
+    }
+    for p in [*primes_up_to(1999)[2:], 100003, 100019, 100043]:
+        counts = tally_structures(p).counts
+        for n, models in closed.items():
+            if n == 2 or (p - 1) % n == 0:
+                assert sum(c for sh, c in counts.items() if sh.d1 % n == 0) == models(p), (p, n)
 
 
 def test_tally_examples():
