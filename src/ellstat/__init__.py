@@ -30,7 +30,7 @@ from .densities import f_ell, f_ell_closed, f_infty, f_p_local, g_density, g_sum
 from .divisor_ap import delta_window, dirichlet_main, mean_square_experiment, tau_sum_window
 from .errors import BudgetError, DomainError, InvariantError
 from .groups import GroupShape, cyclic_subgroup_count, stat_on_shape, subgroup_count, subgroup_oracle
-from .analytic import bound_envelopes, cyclicity_probability, estimate_average_slope, local_factor, main_term
+from .analytic import cyclicity_probability, estimate_average_slope, local_factor, main_term
 
 __all__ = [
     "BudgetError",
@@ -38,7 +38,6 @@ __all__ = [
     "GroupShape",
     "InvariantError",
     "StructureTally",
-    "bound_envelopes",
     "cyclic_subgroup_count",
     "cyclicity_probability",
     "delta_window",

@@ -1,7 +1,6 @@
 """Numerical evaluation of the analytic main term for the weighted average
 number of (cyclic) subgroups of elliptic-curve groups over F_p, together
-with the cyclicity constant, the prime-averaged slope constant, and bound
-envelopes.
+with the cyclicity constant and the prime-averaged slope constant.
 
 Three forms of the main term are selected by ``k_factor`` (the tuple
 ``K_FACTORS``).  "A_unit" and "B_inverse" are the printed divisor-sum form,
@@ -66,7 +65,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import divisors, factorize, is_prime, phi, phi_star_mu, primes_up_to, sigma, valuation
+from .arith import (
+    divisors,
+    factorize,
+    is_prime,
+    phi_prime_power,
+    phi_star_mu_prime_power,
+    primes_up_to,
+    require_p,
+    valuation,
+)
 # level_congruence_count is unused here; perfbench's span self-test asserts this binding.
 from .densities import DEFAULT_NORMALIZATION, frobenius_law, level_congruence_count  # noqa: F401
 from .errors import DomainError, InvariantError
@@ -88,15 +96,10 @@ _GENERIC_PRODUCT = 1.9435964368207592
 _GENERIC_LOG_SUM = 1.2167634357266494
 
 
-def _require_p(p: int) -> None:
-    if p < 5 or not is_prime(p):
-        raise DomainError(f"need a prime p >= 5, got {p}")
-
-
 def cyclicity_probability(p: int) -> Fraction:
     """prod_{l | p-1} (1 - 1/(l(l^2-1))): the asymptotic probability that
     E(F_p) is cyclic.  Depends only on rad(p - 1)."""
-    _require_p(p)
+    require_p(p)
     out = Fraction(1)
     for ell, _ in factorize(p - 1):
         out *= 1 - Fraction(1, ell * (ell * ell - 1))
@@ -127,7 +130,7 @@ def local_factor(p: int, d1: int, ell: int) -> Fraction:
     away from d1(p-1), and l^(2-v)/(l^2-1) or (l^2+l+1)/(l^(v+1)(l+1)) when
     l | d1 with v = v_l(d1) equal to or below v_l(p-1); see _euler_factor_at.
     """
-    _require_p(p)
+    require_p(p)
     if d1 < 1 or (p - 1) % d1:
         raise DomainError(f"d1={d1} does not divide p-1={p - 1}")
     if not is_prime(ell):
@@ -160,7 +163,7 @@ def main_term_components(
     normalization: str = DEFAULT_NORMALIZATION,
 ) -> dict[int, float]:
     """Per-d1 contributions to the main term (keys are the divisors of p-1)."""
-    _require_p(p)
+    require_p(p)
     if stat not in ("s", "c"):
         raise DomainError(f"stat must be 's' or 'c', got {stat!r}")
     if k_factor not in K_FACTORS:
@@ -172,7 +175,7 @@ def main_term_components(
         return half if normalization == "half" else {d1: 2 * v for d1, v in half.items()}
     fac = factorize(p - 1)
     primes = [ell for ell, _ in fac]
-    weight = _phi_at if stat == "s" else _phi_star_mu_at
+    weight = phi_prime_power if stat == "s" else phi_star_mu_prime_power
     out: dict[int, float] = {}
     for d1, a in _exponent_divisors(fac):
         factors = [_euler_factor_at(p, ell, v) for ell, v in zip(primes, a)]
@@ -185,7 +188,7 @@ def main_term_components(
             support = tuple(ck > 0 for ck in c) if k_factor == "B_inverse" else ()
             if support not in K:
                 K[support] = float(math.prod(E for E, on in zip(factors, support) if on))
-            ks.append((k, math.prod(_phi_at(ell, ck) for ell, ck in zip(primes, c)), K[support]))
+            ks.append((k, math.prod(phi_prime_power(ell, ck) for ell, ck in zip(primes, c)), K[support]))
         inner = 0.0
         for u, b in _exponent_divisors(zip(primes, a)):
             wu = math.prod(weight(ell, bu) for ell, bu in zip(primes, b))
@@ -212,18 +215,6 @@ def _exponent_divisors(fac) -> list[tuple[int, tuple[int, ...]]]:
     return sorted(out)
 
 
-def _phi_at(ell: int, c: int) -> int:
-    """phi(l^c)."""
-    return ell ** (c - 1) * (ell - 1) if c else 1
-
-
-def _phi_star_mu_at(ell: int, c: int) -> int:
-    """(phi*mu)(l^c), as in arith.multiplicative_suite."""
-    if c < 2:
-        return ell - 2 if c else 1
-    return ell ** (c - 2) * (ell - 1) ** 2
-
-
 @lru_cache(maxsize=None)
 def _local_moments(ell: int, e: int, x: int, stat: str) -> tuple[Fraction, Fraction]:
     """(1 - 1/l) E_l[f 1_x] and (1 - 1/l) E_l[n f 1_x] at level x, exactly.
@@ -231,10 +222,10 @@ def _local_moments(ell: int, e: int, x: int, stat: str) -> tuple[Fraction, Fract
     On n = 2x + k the statistic is linear, f = f0 + beta*k, so the geometric
     tail sums in closed form with sum_k l^-k {1, k, k^2} = s0, s1, s2.
     """
-    weight = phi if stat == "s" else phi_star_mu
+    weight = phi_prime_power if stat == "s" else phi_star_mu_prime_power
     a, b = frobenius_law(ell, e, x)
-    f0 = sum(weight(ell**i) * (x - i + 1) ** 2 for i in range(x + 1))
-    beta = sum(weight(ell**i) * (x - i + 1) for i in range(x + 1))
+    f0 = sum(weight(ell, i) * (x - i + 1) ** 2 for i in range(x + 1))
+    beta = sum(weight(ell, i) * (x - i + 1) for i in range(x + 1))
     n0 = 2 * x
     s0 = Fraction(1, ell - 1)
     s1 = Fraction(ell, (ell - 1) ** 2)
@@ -322,40 +313,3 @@ def estimate_average_slope(
     if normalization == "paper":
         total *= 2
     return SlopeEstimate(total, x_max, m_max, stat)
-
-
-# ----------------------------------------------------------------------
-# bound envelopes
-# ----------------------------------------------------------------------
-
-def bound_envelopes(p: int) -> dict[str, float]:
-    """Explicit upper/lower envelope quantities for the weighted averages.
-
-    These express orders of magnitude without implied constants and are
-    reported, never asserted against the averages themselves.
-    """
-    _require_p(p)
-    logp = math.log(p)
-    loglogp = math.log(logp)
-    # tau(d1^2) and tau((p-1)^2) from the exponents of p - 1, whose squares
-    # are never factored
-    fac = factorize(p - 1)
-    d1_sum = sum(math.prod(2 * v + 1 for v in a) / d1 for d1, a in _exponent_divisors(fac))
-    sigma_ratio = sigma(p - 1) / (p - 1)
-    lower_s = sum(sigma(d1) / d1**2 for d1 in divisors(p - 1))
-    lower_c = sum(
-        sum(sigma(d) * (d1 // d) for d in divisors(d1)) / d1**2
-        for d1 in divisors(p - 1)
-    )
-    return {
-        "upper_s": logp ** (1 + math.exp(EULER_GAMMA)) * loglogp * d1_sum,
-        "upper_s_min_form": logp ** (1 + math.exp(EULER_GAMMA))
-        * loglogp
-        * min(logp**4, math.prod(2 * e + 1 for _, e in fac) * sigma_ratio),
-        "lower_s": lower_s,
-        "lower_c": lower_c,
-        "sigma_ratio": sigma_ratio,
-        "tau_d1sq_over_d1": d1_sum,
-    }
-
-

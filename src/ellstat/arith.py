@@ -2,53 +2,35 @@
 functions, Ramanujan sums, quadratic characters and Hurwitz class numbers.
 
 Every function here returns exact integers; floating point never enters
-these kernels.  The smallest-prime-factor sieve is built once, grown on
-demand, and shared read-only by all callers, so everything is safe for
-concurrent use.
+these kernels.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import DomainError
 
-_SPF_SOFT_LIMIT = 1 << 22  # factorizations below this use the sieve directly
-_spf: np.ndarray | None = None
-_small_primes: list[int] | None = None
+_TRIAL_LIMIT = 100_000  # factorize trial-divides up to here; rho takes the rest
+# (bound, every prime <= bound), replaced whole so that a reader never pairs
+# a bound with a shorter list
+_trial: tuple[int, list[int]] = (0, [])
 
 
 def primes_up_to(limit: int) -> list[int]:
     """All primes <= limit, ascending.  limit < 2 yields an empty list."""
     if limit < 2:
         return []
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
     for i in range(2, math.isqrt(limit) + 1):
         if sieve[i]:
-            sieve[i * i :: i] = False
-    return [int(v) for v in np.flatnonzero(sieve)]
-
-
-def _spf_table(n: int) -> np.ndarray:
-    """Smallest-prime-factor table covering 0..n (grown geometrically)."""
-    global _spf
-    if _spf is None or len(_spf) <= n:
-        size = 1 << 16
-        while size <= n:
-            size <<= 1
-        spf = np.arange(size, dtype=np.int32)
-        for i in range(2, math.isqrt(size - 1) + 1):
-            if spf[i] == i:
-                block = spf[i * i :: i]
-                np.minimum(block, i, out=block)
-        _spf = spf
-    return _spf
+            sieve[i * i :: i] = bytes((limit - i * i) // i + 1)
+    return list(itertools.compress(range(limit + 1), sieve))
 
 
 def is_prime(n: int) -> bool:
@@ -75,6 +57,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_p(p: int) -> None:
+    """DomainError unless p is a prime >= 5, the characteristic of every route."""
+    if p < 5 or not is_prime(p):
+        raise DomainError(f"need a prime p >= 5, got {p}")
+
+
 def _rho_factor(n: int) -> int:
     """Brent's cycle-finding rho; deterministic parameter schedule."""
     if n % 2 == 0:
@@ -95,60 +83,51 @@ def _rho_factor(n: int) -> int:
 def factorize(n: int) -> list[tuple[int, int]]:
     """Canonical factorization of n >= 1 as ascending (prime, exponent) pairs.
 
-    n = 1 gives []; n = 0 is a domain error.  Small inputs walk the shared
-    smallest-prime-factor sieve, larger ones fall back to trial division by
-    cached small primes plus deterministic Brent rho.
+    n = 1 gives []; n = 0 is a domain error.  Trial division by the cached
+    primes up to a bound B >= min(isqrt(n), 100 000), grown in powers of two
+    from 1024: a cofactor m <= B^2 left over is prime, and only a larger one
+    (possible once n > 10^10) goes to deterministic Brent rho.
     """
+    global _trial
     if n <= 0:
         raise DomainError(f"factorize requires n >= 1, got {n}")
-    if n == 1:
-        return []
-    if n < _SPF_SOFT_LIMIT:
-        spf = _spf_table(n)
-        out: list[tuple[int, int]] = []
-        m = n
-        while m > 1:
-            p = int(spf[m])
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-        return out
-
-    global _small_primes
-    if _small_primes is None:
-        _small_primes = primes_up_to(100_000)
-    out = []
+    bound, primes = _trial
+    if n > bound * bound and bound < _TRIAL_LIMIT:
+        bound = min(max(1 << 10, 1 << math.isqrt(n).bit_length()), _TRIAL_LIMIT)
+        primes = primes_up_to(bound)
+        _trial = bound, primes
+    out: list[tuple[int, int]] = []
     m = n
-    for p in _small_primes:
-        if p * p > m:
-            break
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-    if m > 1:
-        # leftover cofactor: prime, prime power, or product of two large primes
-        rest: list[int] = []
-        stack = [m]
-        while stack:
-            v = stack.pop()
-            if is_prime(v):
-                rest.append(v)
-                continue
-            r = math.isqrt(v)
-            if r * r == v:
-                stack += [r, r]
-                continue
-            d = _rho_factor(v)
-            stack += [d, v // d]
-        for p in sorted(set(rest)):
-            out.append((p, sum(1 for r in rest if r == p)))
-        out.sort()
-    return out
+    for p in primes:
+        if m % p:
+            if p * p > m:
+                break
+            continue
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        out.append((p, e))
+    if m <= bound * bound:
+        if m > 1:
+            out.append((m, 1))
+        return out
+    # no prime <= _TRIAL_LIMIT divides m: prime, prime power, or a product
+    # of large primes, all above those already found
+    rest: list[int] = []
+    stack = [m]
+    while stack:
+        v = stack.pop()
+        if is_prime(v):
+            rest.append(v)
+            continue
+        r = math.isqrt(v)
+        if r * r == v:
+            stack += [r, r]
+            continue
+        d = _rho_factor(v)
+        stack += [d, v // d]
+    return out + [(p, rest.count(p)) for p in sorted(set(rest))]
 
 
 def divisors(n: int) -> list[int]:
@@ -184,11 +163,22 @@ class MultiplicativeSuite:
     rad: int
 
 
+def phi_prime_power(ell: int, e: int) -> int:
+    """Euler's totient of the prime power l^e."""
+    return ell ** (e - 1) * (ell - 1) if e else 1
+
+
+def phi_star_mu_prime_power(ell: int, e: int) -> int:
+    """(phi*mu)(l^e): 1, l - 2 and l^(e-2) (l-1)^2 for e = 0, 1 and e >= 2."""
+    if e < 2:
+        return ell - 2 if e else 1
+    return ell ** (e - 2) * (ell - 1) ** 2
+
+
 def multiplicative_suite(n: int) -> MultiplicativeSuite:
     """tau, sigma, phi, mu, phi*mu (Dirichlet), omega and rad of n, exactly.
 
-    phi*mu is the convolution of Euler's totient with the Moebius function;
-    on prime powers it equals l-2 for e=1 and l^(e-2)(l-1)^2 for e>=2.
+    phi*mu is the convolution of Euler's totient with the Moebius function.
     """
     fac = factorize(n)
     tau = sigma = phi = rad = psm = 1
@@ -196,10 +186,10 @@ def multiplicative_suite(n: int) -> MultiplicativeSuite:
     for p, e in fac:
         tau *= e + 1
         sigma *= (p ** (e + 1) - 1) // (p - 1)
-        phi *= p ** (e - 1) * (p - 1)
+        phi *= phi_prime_power(p, e)
         rad *= p
         mu = 0 if e >= 2 else -mu
-        psm *= (p - 2) if e == 1 else p ** (e - 2) * (p - 1) ** 2
+        psm *= phi_star_mu_prime_power(p, e)
     return MultiplicativeSuite(n, tau, sigma, phi, mu, psm, len(fac), rad)
 
 

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import divisors, factorize, hurwitz_sixfold, is_prime, mu
+from .arith import divisors, factorize, hurwitz_sixfold, mu, require_p
 from .errors import DomainError, InvariantError
 from .groups import SHAPE_STATS, GroupShape, shape_statistics, statistic_field
 
@@ -56,11 +56,6 @@ class StructureTally:
 
     def total(self) -> int:
         return sum(self.counts.values())
-
-
-def _require_p(p: int) -> None:
-    if p < 5 or not is_prime(p):
-        raise DomainError(f"need a prime p >= 5, got {p}")
 
 
 def hasse_admissible(p: int, N: int) -> bool:
@@ -88,7 +83,7 @@ def point_count(p: int, a: int, b: int) -> int:
     Computed as p + 1 + sum_x chi(x^3 + ax + b) with chi the quadratic
     character (chi(0) = 0), one table lookup per x.
     """
-    _require_p(p)
+    require_p(p)
     a %= p
     b %= p
     if (4 * a * a * a + 27 * b * b) % p == 0:
@@ -170,7 +165,7 @@ def group_shape(p: int, a: int, b: int, N: int | None = None) -> GroupShape:
     points (a deterministic full scan, stopped once it reaches N).  The
     result is verified to satisfy d1 | gcd(N, p - 1).
     """
-    _require_p(p)
+    require_p(p)
     a %= p
     b %= p
     if N is None:
@@ -255,7 +250,7 @@ def tally_structures(p: int) -> StructureTally:
     ``arith.hurwitz_sixfold`` at (4p - t^2)/n^2 <= p, whose cache is shared
     across the primes of a sweep.
     """
-    _require_p(p)
+    require_p(p)
     tmax = math.isqrt(4 * p - 1)
     sixfolds = _trace_sixfolds(p)
     rows: dict[int, dict[int, int]] = {}

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import is_prime, kronecker_chi, primes_up_to, valuation
+from .arith import is_prime, kronecker_chi, primes_up_to, require_p, valuation
 from .errors import BudgetError, DomainError, InvariantError
 from .groups import GroupShape
 
@@ -255,8 +255,7 @@ def f_ell_closed(ell: int, d1: int, d2: int, p: int) -> Fraction:
 
 def f_p_local(p: int, N: int) -> Fraction:
     """Local factor at the characteristic: 1 + 1/(p-1) unless p | N - 1."""
-    if p < 5 or not is_prime(p):
-        raise DomainError(f"need a prime p >= 5, got {p}")
+    require_p(p)
     return Fraction(1) if (N - 1) % p == 0 else 1 + Fraction(1, p - 1)
 
 
@@ -331,8 +330,7 @@ def probability_product(
     conditional convergence of the character tail.
     """
     d1, d2 = shape
-    if p < 5 or not is_prime(p):
-        raise DomainError(f"need a prime p >= 5, got {p}")
+    require_p(p)
     if d1 < 1 or d2 < 1:
         raise DomainError(f"invalid shape {shape}")
     if ell_max < 2:

@@ -21,6 +21,7 @@ from .errors import BudgetError, DomainError
 EULER_GAMMA = 0.5772156649015329
 
 _SIEVE_BUDGET = 10**9
+_HYPERBOLA_BUDGET = 10**14  # tau_sum_upto takes isqrt(X) <= 10^7 steps
 
 
 class MeanSquareResult(NamedTuple):
@@ -46,10 +47,13 @@ def tau_sum_upto(X: float, a: int = 0, q: int = 1) -> int:
 
     Hyperbola method: every n = d*m with d <= sqrt(n); for each d the inner
     variable runs through one arithmetic progression, counted in O(1).
+    X above ``_HYPERBOLA_BUDGET`` raises ``BudgetError``.
     """
     if q < 1:
         raise DomainError(f"modulus must be >= 1, got {q}")
     _require_finite(X=X)
+    if X > _HYPERBOLA_BUDGET:
+        raise BudgetError(f"hyperbola budget is X <= {_HYPERBOLA_BUDGET}, got {X}")
     X = math.floor(X)
     if X < 1:
         return 0

@@ -32,7 +32,16 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import divisors, factorize, phi, phi_star_mu, tau, valuation
+from .arith import (
+    divisors,
+    factorize,
+    phi,
+    phi_prime_power,
+    phi_star_mu,
+    phi_star_mu_prime_power,
+    tau,
+    valuation,
+)
 from .errors import BudgetError, DomainError
 
 _ORACLE_LIMIT = 2000
@@ -135,7 +144,7 @@ def shape_statistics(shape: GroupShape) -> ShapeStatistics:
         a = valuation(d1, ell)
         sc = sp = cc = cp = 0
         for k in range(a + 1):
-            w_phi, w_psm = phi(ell**k), phi_star_mu(ell**k)
+            w_phi, w_psm = phi_prime_power(ell, k), phi_star_mu_prime_power(ell, k)
             corr = (a - k + 1) * (e - a - k + 1)
             prnt = (a - k + 1) * (e - k + 1)
             sc += w_phi * corr

@@ -10,7 +10,6 @@ from ellstat.analytic import (
     _GENERIC_LOG_SUM,
     _GENERIC_PRODUCT,
     _local_moments,
-    bound_envelopes,
     cyclicity_probability,
     estimate_average_slope,
     euler_product,
@@ -20,7 +19,7 @@ from ellstat.analytic import (
     main_term_components,
 )
 from ellstat import analytic, arith
-from ellstat.arith import divisors, factorize, is_prime, phi, phi_star_mu, primes_up_to, sigma, tau, valuation
+from ellstat.arith import divisors, factorize, is_prime, phi, phi_star_mu, primes_up_to, tau, valuation
 from ellstat.curves import tally_structures, weighted_average_from_tally
 from ellstat.densities import _bucket_count_level, _count_trace_fixed_level, _norm3, level_congruence_count
 from ellstat.errors import DomainError
@@ -399,41 +398,3 @@ def test_estimate_average_slope_is_mean_log_coefficient():
         mean = total / len(ps)
         est = estimate_average_slope(240, 32, stat).value
         assert abs(est - mean) < 0.005 * mean, (stat, est, mean)
-
-
-def test_bound_envelopes():
-    env = bound_envelopes(101)
-    assert env["sigma_ratio"] >= 1
-    assert env["lower_c"] >= env["lower_s"] > 1
-    assert env["upper_s"] > env["lower_s"]
-    # regression pins from the first audited run
-    assert env["lower_s"] == pytest.approx(2.821, rel=1e-12)
-    assert env["lower_c"] == pytest.approx(5.2258, rel=1e-12)
-    assert env["sigma_ratio"] == pytest.approx(2.17, rel=1e-12)
-    assert env["tau_d1sq_over_d1"] == pytest.approx(6.75, rel=1e-12)
-    assert env["upper_s"] == pytest.approx(726.0196887085857, rel=1e-9)
-
-
-def test_bound_envelopes_match_divisor_formula():
-    # the tau values read from the exponents of p - 1 equal tau(d1^2) and
-    # tau((p-1)^2) factored directly
-    for p in primes_up_to(600):
-        if p < 5:
-            continue
-        logp = math.log(p)
-        loglogp = math.log(logp)
-        d1_sum = sum(tau(d1 * d1) / d1 for d1 in divisors(p - 1))
-        sigma_ratio = sigma(p - 1) / (p - 1)
-        want = {
-            "upper_s": logp ** (1 + math.exp(EULER_GAMMA)) * loglogp * d1_sum,
-            "upper_s_min_form": logp ** (1 + math.exp(EULER_GAMMA))
-            * loglogp
-            * min(logp**4, tau((p - 1) ** 2) * sigma_ratio),
-            "lower_s": sum(sigma(d1) / d1**2 for d1 in divisors(p - 1)),
-            "lower_c": sum(
-                sum(sigma(d) * (d1 // d) for d in divisors(d1)) / d1**2 for d1 in divisors(p - 1)
-            ),
-            "sigma_ratio": sigma_ratio,
-            "tau_d1sq_over_d1": d1_sum,
-        }
-        assert bound_envelopes(p) == want, p

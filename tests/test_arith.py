@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellstat import arith
 from ellstat.arith import (
     divisors,
     factorize,
@@ -16,9 +20,12 @@ from ellstat.arith import (
     multiplicative_suite,
     mu,
     phi,
+    phi_prime_power,
     phi_star_mu,
+    phi_star_mu_prime_power,
     primes_up_to,
     ramanujan_sum,
+    require_p,
     sigma,
     tau,
     valuation,
@@ -34,6 +41,51 @@ def test_primes_up_to_examples():
     assert primes_up_to(-3) == []
 
 
+def test_primes_up_to_matches_miller_rabin():
+    assert primes_up_to(5000) == [n for n in range(5001) if is_prime(n)]
+    primes = primes_up_to(10**5)
+    assert len(primes) == 9592
+    assert primes[-1] == 99991
+
+
+def test_import_arith_loads_no_numpy():
+    # arith's own imports, without the package __init__ (which loads curves)
+    code = (
+        "import sys, types; "
+        "pkg = types.ModuleType('ellstat'); pkg.__path__ = [sys.argv[1]]; "
+        "sys.modules['ellstat'] = pkg; "
+        "import ellstat.arith; print('numpy' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, os.path.dirname(arith.__file__)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_require_p_is_the_one_prime_check():
+    from ellstat.analytic import cyclicity_probability
+    from ellstat.curves import tally_structures
+    from ellstat.densities import f_p_local, probability_product
+    from ellstat.groups import GroupShape
+
+    require_p(5)
+    require_p(101)
+    for bad in (-7, 2, 3, 4, 9, 1001):
+        calls = (
+            lambda: require_p(bad),
+            lambda: cyclicity_probability(bad),
+            lambda: tally_structures(bad),
+            lambda: f_p_local(bad, 1),
+            lambda: probability_product(bad, GroupShape(1, 1), 10),
+        )
+        for call in calls:
+            with pytest.raises(DomainError, match=rf"^need a prime p >= 5, got {bad}$"):
+                call()
+
+
 def test_factorize_examples():
     assert factorize(12) == [(2, 2), (3, 1)]
     assert factorize(1) == []
@@ -43,11 +95,40 @@ def test_factorize_examples():
 
 
 def test_factorize_large_paths():
-    # beyond the sieve soft limit: trial division and rho both exercised
+    # cofactors beyond the trial-division cap of 100 000: rho, the square
+    # check and Miller-Rabin all exercised
     n = 10_000_019 * 10_000_079
     assert factorize(n) == [(10_000_019, 1), (10_000_079, 1)]
     assert factorize(2**25) == [(2, 25)]
     assert factorize(999_999_937) == [(999_999_937, 1)]
+    assert factorize(12 * 100_003**3) == [(2, 2), (3, 1), (100_003, 3)]
+
+
+def test_factorize_at_the_cap():
+    # 99991 is the largest prime below the cap, 100003 the smallest above
+    assert factorize(99_991**2) == [(99_991, 2)]
+    assert factorize(100_003**2) == [(100_003, 2)]
+    assert factorize(99_991 * 100_003) == [(99_991, 1), (100_003, 1)]
+    assert factorize(2 * 99_991 * 100_003) == [(2, 1), (99_991, 1), (100_003, 1)]
+
+
+def test_factorize_at_each_growth_step(monkeypatch):
+    # from an empty prime list: q^2, q the first prime above a bound B =
+    # 2^10 .. 2^16 or the cap, grows the list to min(2B, cap); products of
+    # q and the next prime r, factored at that bound, leave a prime cofactor
+    monkeypatch.setattr(arith, "_trial", (0, []))
+    assert factorize(1000) == [(2, 3), (5, 3)]
+    assert arith._trial[0] == 1 << 10
+    for B in [1 << k for k in range(10, 17)] + [100_000]:
+        q = next(n for n in range(B + 1, 2 * B) if is_prime(n))
+        r = next(n for n in range(q + 1, 2 * q) if is_prime(n))
+        assert factorize(q) == [(q, 1)]
+        assert factorize(q * q) == [(q, 2)]
+        assert arith._trial[0] == min(2 * B, 100_000)
+        assert factorize(q * r) == [(q, 1), (r, 1)]
+        assert factorize(2 * q * r) == [(2, 1), (q, 1), (r, 1)]
+        assert arith._trial[0] == min(2 * B, 100_000)
+    assert len(arith._trial[1]) == 9592
 
 
 @given(st.integers(min_value=1, max_value=10**6))
@@ -72,6 +153,12 @@ def test_phi_star_mu_prime_power_formula():
     assert phi_star_mu(8) == 2
     assert phi_star_mu(9) == 4
     assert phi_star_mu(7) == 5
+    # the prime-power forms the suite, groups and analytic share, at e = 0 too
+    for ell in (2, 3, 7):
+        assert phi_prime_power(ell, 0) == phi_star_mu_prime_power(ell, 0) == 1
+        for e in range(1, 5):
+            assert phi_prime_power(ell, e) == phi(ell**e)
+            assert phi_star_mu_prime_power(ell, e) == phi_star_mu(ell**e)
 
 
 def test_phi_star_mu_is_dirichlet_convolution():

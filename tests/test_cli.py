@@ -294,6 +294,12 @@ def test_divap_non_finite_exit_2(args, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_divap_delta_beyond_budget_exit_2(capsys):
+    # the hyperbola sum would take isqrt(X) ~ 10^150 steps
+    assert main(["divap", "delta", "--X", "1e300"]) == 2
+    assert capsys.readouterr().err.startswith("error: hyperbola budget")
+
+
 def test_main_callable_directly(tmp_path, capsys):
     assert main(["brute", "--p", "4"]) == 2
     assert main(["definitely-not-a-command"]) == 1

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ellstat import divisor_ap
 from ellstat.divisor_ap import (
     delta_at,
     delta_window,
@@ -117,3 +118,18 @@ def test_mean_square_domain_errors():
 def test_sieve_budget():
     with pytest.raises(BudgetError):
         tau_window_values(2 * 10**9, 2 * 10**9 + 10)
+
+
+def test_hyperbola_budget(monkeypatch):
+    assert divisor_ap._HYPERBOLA_BUDGET == 10**14
+    for X in (10**14 + 1, 1e14 + 0.5, 1e300):
+        with pytest.raises(BudgetError):
+            tau_sum_upto(X)
+        with pytest.raises(BudgetError):
+            delta_at(X, 1, 3)
+    # both sides of the bound, at a budget small enough to evaluate
+    monkeypatch.setattr(divisor_ap, "_HYPERBOLA_BUDGET", 10**4)
+    assert tau_sum_upto(10**4) == tau_sum_upto(10**4 - 0.5) + 25 == 93668
+    for X in (10**4 + 1, 10**4 + 0.5):
+        with pytest.raises(BudgetError):
+            tau_sum_upto(X)
