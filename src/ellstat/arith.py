@@ -284,6 +284,37 @@ def hurwitz_sixfold(D: int) -> int:
     return sixfold
 
 
+def hurwitz_table(M: int) -> list[int]:
+    """[6H(0), 6H(1), ..., 6H(M)] with 6H(0) = 0, as ``hurwitz_sixfold``
+    gives each value, from one pass over the reduced forms (a, b, c),
+    0 <= b <= a <= c, with 4ac - b^2 <= M.
+
+    For fixed (a, b) the discriminants 4ac - b^2 run through the progression
+    4a^2 - b^2, 4a^2 - b^2 + 4a, ... as c = a, a + 1, ...; the first term
+    (c = a) weighs 3 (b = 0), 2 (b = a) or 6, and the others 6 when b is
+    0 or a, else 12.  The forms number about pi M^(3/2)/18: a table up to
+    M = 4p costs about 1.4 p^1.5 steps, more than the O(p) pass of one tally
+    at p (``curves._trace_sixfolds``) but far less than one pass per prime
+    of a sweep.
+    """
+    if M < 0:
+        raise DomainError(f"Hurwitz table requires M >= 0, got {M}")
+    table = [0] * (M + 1)
+    a = 1
+    while 3 * a * a <= M:
+        step = 4 * a
+        for b in range(a + 1):
+            first = 4 * a * a - b * b  # falls as b grows: skip, do not stop
+            if first > M:
+                continue
+            table[first] += 3 if b == 0 else 2 if b == a else 6
+            weight = 6 if b == 0 or b == a else 12
+            for D in range(first + step, M + 1, step):
+                table[D] += weight
+        a += 1
+    return table
+
+
 def hurwitz_class_number(D: int) -> Fraction:
     """Hurwitz class number H(D): the SL_2(Z)-classes of positive definite
     binary quadratic forms of discriminant -D, primitive or not, with

@@ -17,6 +17,11 @@ in one process and emitted in ascending order of the primary key, so outputs
 are bit-identical across runs.  Tallies are exact and deterministic; the
 --seed option that brute, sweep and compare accept is ignored, and so is
 sweep's --threads.
+
+sweep builds one Hurwitz class-number table up to 4 xmax
+(``arith.hurwitz_table``) and every tally of the sweep reads 6H from it;
+xmax above 10^6 exits 2.  brute and compare tally one prime at a time
+without a table, by one O(p) pass over reduced forms per prime.
 """
 
 from __future__ import annotations
@@ -28,11 +33,12 @@ import sys
 import click
 
 from . import analytic, curves, densities, divisor_ap
-from .arith import is_prime, primes_up_to
+from .arith import hurwitz_table, is_prime, primes_up_to
 from .errors import BudgetError, DomainError
 from .groups import GroupShape
 
 _BRUTE_MIN, _BRUTE_MAX = 5, 5000
+_SWEEP_MAX = 10**6  # the class-number table holds 4 xmax + 1 ints
 
 SWEEP_HEADER = [
     "x",
@@ -118,8 +124,8 @@ def cmd_brute(p, stats, formula, show_tally) -> None:
 # sweep
 # ----------------------------------------------------------------------
 
-def _sweep_row(p: int) -> list:
-    avg = curves.weighted_averages(curves.tally_structures(p))
+def _sweep_row(p: int, table: list[int]) -> list:
+    avg = curves.weighted_averages(curves.tally_structures(p, table))
     return [p, avg.s_corrected, avg.s_printed, avg.c_corrected, avg.tau_N]
 
 
@@ -134,7 +140,10 @@ def _sweep_row(p: int) -> list:
 @click.option("--gnuplot", is_flag=True, help="also write a gnuplot script next to the CSV")
 def cmd_sweep(xmax, out, gnuplot) -> None:
     """Per-prime averages for all primes 5 <= p <= xmax, one CSV row each."""
-    rows = [_sweep_row(p) for p in primes_up_to(xmax) if p >= 5]
+    if xmax > _SWEEP_MAX:
+        raise DomainError(f"sweep needs xmax <= {_SWEEP_MAX}, got {xmax}")
+    table = hurwitz_table(4 * max(xmax, 0))
+    rows = [_sweep_row(p, table) for p in primes_up_to(xmax) if p >= 5]
     running = 0.0
     try:
         with open(out, "w", newline="") as fh:

@@ -12,13 +12,16 @@ n | d1, so Moebius inversion gives the models with d1 exactly m as
 sum_k mu(k) F(mk).  The count is exact and deterministic; dividing by
 p(p-1) gives the 1/|Aut| weighting with total mass 1.
 
-The n = 1 sixfolds 6H(4p - t^2) of all traces come from one O(p) pass over
-the reduced forms (a, b, c) with 4ac - b^2 = 4p - t^2: whether c is an
-integer depends only on t mod 2a, so each (a, b) and each such residue adds
-the weight of ``arith.hurwitz_sixfold`` (12, or 6 when b is 0 or a; 3, 2 or
-6 when c = a) along one progression of traces t >= 0, and the negative
-traces mirror them.  The rows n > 1 visit only the traces with n^2 | N and
-read ``arith.hurwitz_sixfold`` directly.
+The sixfolds 6H come from one of two sources.  A sweep over many primes
+passes one ``arith.hurwitz_table`` up to 4 xmax, built once, and every tally
+reads 6H(4p - t^2) and 6H((4p - t^2)/n^2) from it.  A single tally, which
+would pay about 1.4 p^1.5 steps for a table up to 4p, makes one O(p) pass
+over the reduced forms (a, b, c) with 4ac - b^2 = 4p - t^2 instead: whether
+c is an integer depends only on t mod 2a, so each (a, b) and each such
+residue adds the weight of ``arith.hurwitz_sixfold`` (12, or 6 when b is 0
+or a; 3, 2 or 6 when c = a) along one progression of traces t >= 0, and the
+negative traces mirror them; its rows n > 1 visit only the traces with
+n^2 | N and read ``arith.hurwitz_sixfold`` directly.
 
 ``weighted_averages`` reads every average of a tally in one pass, one
 ``groups.shape_statistics`` call per shape; ``weighted_average_from_tally``
@@ -235,29 +238,39 @@ def _model_count(p: int, t: int, n: int, sixfold: int) -> int:
     return models
 
 
-def tally_structures(p: int) -> StructureTally:
+def tally_structures(p: int, table: list[int] | None = None) -> StructureTally:
     """Exact tally of group shapes over all p^2 - p nonsingular models.
 
     For each trace t with t^2 < 4p and N = p + 1 - t, the models with
     E[n] in E(F_p) number F(n) = (p-1) 6H((4p - t^2)/n^2)/12 when n | p-1
     and n^2 | N (Schoof), H the Hurwitz class number; those with d1 exactly
-    m number sum_k mu(k) F(mk).
+    m number sum_k mu(k) F(mk).  6H depends only on t^2, so the sixfolds are
+    taken for t >= 0 and the negative traces mirror them; the rows n > 1
+    visit only the traces t = p + 1 (mod n^2).
 
-    The n = 1 sixfolds of every trace come from one O(p) pass over the
-    reduced forms, grouped by t mod 2a (``_trace_sixfolds``); 6H depends only
-    on t^2, so the pass enumerates t >= 0 and the negative traces mirror it.
-    The rows n > 1 visit only the traces t = p + 1 (mod n^2) and read
-    ``arith.hurwitz_sixfold`` at (4p - t^2)/n^2 <= p, whose cache is shared
-    across the primes of a sweep.
+    With ``table`` (``arith.hurwitz_table(M)``, M >= 4p) every sixfold is a
+    lookup in it; a shorter table raises ``DomainError``.  Without one, the
+    n = 1 sixfolds come from one O(p) pass over the reduced forms, grouped by
+    t mod 2a (``_trace_sixfolds``), and the rows n > 1 call
+    ``arith.hurwitz_sixfold`` at (4p - t^2)/n^2 <= p.  Both give the same
+    counts, in the same order.
     """
     require_p(p)
     tmax = math.isqrt(4 * p - 1)
-    sixfolds = _trace_sixfolds(p)
+    if table is None:
+        sixfolds, sixfold_at = _trace_sixfolds(p), hurwitz_sixfold
+    elif len(table) <= 4 * p:
+        raise DomainError(
+            f"Hurwitz table ends at D = {len(table) - 1}; the tally at p={p} needs D = {4 * p}"
+        )
+    else:
+        sixfolds = [table[4 * p - t * t] for t in range(tmax + 1)]
+        sixfold_at = table.__getitem__
     rows: dict[int, dict[int, int]] = {}
     for n in divisors(p - 1)[1:]:
         step = n * n
         for t in range(-tmax + (p + 1 + tmax) % step, tmax + 1, step):
-            rows.setdefault(t, {1: sixfolds[abs(t)]})[n] = hurwitz_sixfold((4 * p - t * t) // step)
+            rows.setdefault(t, {1: sixfolds[abs(t)]})[n] = sixfold_at((4 * p - t * t) // step)
     counts: dict[GroupShape, int] = {}
     for t in range(-tmax, tmax + 1):
         N = p + 1 - t

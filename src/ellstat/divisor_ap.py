@@ -21,6 +21,7 @@ from .errors import BudgetError, DomainError
 EULER_GAMMA = 0.5772156649015329
 
 _SIEVE_BUDGET = 10**9
+_WINDOW_BUDGET = 10**7  # tau_window_values holds B - A int64 entries (80 MB)
 _HYPERBOLA_BUDGET = 10**14  # tau_sum_upto takes isqrt(X) <= 10^7 steps
 
 
@@ -76,10 +77,14 @@ def tau_window_values(A: int, B: int) -> np.ndarray:
     """tau(n) for n in (A, B] via a segmented divisor sieve.
 
     Divisors d <= sqrt(B) are paired with cofactors m >= d, adding 2 per
-    pair and 1 on the diagonal n = d^2.
+    pair and 1 on the diagonal n = d^2.  B above ``_SIEVE_BUDGET`` or a
+    window B - A above ``_WINDOW_BUDGET`` raises ``BudgetError`` before
+    anything is allocated.
     """
     if B > _SIEVE_BUDGET:
         raise BudgetError(f"sieve budget is B <= {_SIEVE_BUDGET}, got {B}")
+    if B - A > _WINDOW_BUDGET:
+        raise BudgetError(f"window budget is B - A <= {_WINDOW_BUDGET}, got {B - A}")
     if B <= A:
         return np.zeros(0, dtype=np.int64)
     out = np.zeros(B - A, dtype=np.int64)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from conftest import record_acceptance
 
 from ellstat.analytic import K_FACTORS, cyclicity_probability, main_term
-from ellstat.arith import primes_up_to, ramanujan_sum, valuation
+from ellstat.arith import hurwitz_table, primes_up_to, ramanujan_sum, valuation
 from ellstat.curves import (
     empirical_probability,
     hasse_admissible,
@@ -30,9 +30,13 @@ from ellstat.groups import (
 )
 
 _TALLY_CACHE: dict[int, object] = {}
+_TABLE_P = 2423  # criterion 5's range: one class-number table serves its sweep
 
 
 def _tally(p):
+    if not _TALLY_CACHE:
+        table = hurwitz_table(4 * _TABLE_P)
+        _TALLY_CACHE.update({q: tally_structures(q, table) for q in primes_up_to(_TABLE_P)[2:]})
     if p not in _TALLY_CACHE:
         _TALLY_CACHE[p] = tally_structures(p)
     return _TALLY_CACHE[p]

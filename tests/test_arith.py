@@ -15,6 +15,7 @@ from ellstat.arith import (
     factorize,
     hurwitz_class_number,
     hurwitz_sixfold,
+    hurwitz_table,
     is_prime,
     kronecker_chi,
     multiplicative_suite,
@@ -256,6 +257,21 @@ def test_hurwitz_class_number_kronecker_relation():
     for p in primes_up_to(2423)[2:]:
         tmax = math.isqrt(4 * p - 1)
         assert sum(hurwitz_class_number(4 * p - t * t) for t in range(-tmax, tmax + 1)) == 2 * p
+
+
+def test_hurwitz_table_matches_per_value():
+    M = 4 * 2423
+    table = hurwitz_table(M)
+    assert len(table) == M + 1 and table[0] == 0
+    assert table == [0] + [hurwitz_sixfold(D) for D in range(1, M + 1)]
+    # Kronecker-Hurwitz: sum_{t^2 < 4p} 6H(4p - t^2) = 12p
+    for p in primes_up_to(2423)[2:]:
+        tmax = math.isqrt(4 * p - 1)
+        assert sum(table[4 * p - t * t] for t in range(-tmax, tmax + 1)) == 12 * p, p
+    # a table is a prefix of every longer one
+    assert hurwitz_table(0) == [0] and hurwitz_table(100) == table[:101]
+    with pytest.raises(DomainError):
+        hurwitz_table(-1)
 
 
 def test_hurwitz_sixfold_is_six_h_and_counts_three_squares():

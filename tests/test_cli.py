@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from ellstat import cli
 from ellstat.cli import main
 
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -112,6 +113,20 @@ def test_sweep_threads_must_be_positive(tmp_path):
     code, _, err = run_cli("sweep", "--xmax", "20", "--threads", "0", "--out", str(tmp_path / "a.csv"))
     assert code == 1, err
     assert not (tmp_path / "a.csv").exists()
+
+
+def test_sweep_xmax_bound_exit_2(tmp_path, capsys, monkeypatch):
+    # checked before the 4 xmax + 1 entry class-number table is allocated
+    assert cli._SWEEP_MAX == 10**6
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--xmax", "1000000000000", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: sweep needs xmax <= 1000000")
+    assert not out.exists()
+    # both sides of the bound, at a bound small enough to run
+    monkeypatch.setattr(cli, "_SWEEP_MAX", 50)
+    assert main(["sweep", "--xmax", "50", "--out", str(out)]) == 0
+    assert main(["sweep", "--xmax", "51", "--out", str(tmp_path / "b.csv")]) == 2
+    assert not (tmp_path / "b.csv").exists()
 
 
 def test_sweep_has_no_budget_gate(tmp_path):
@@ -298,6 +313,13 @@ def test_divap_delta_beyond_budget_exit_2(capsys):
     # the hyperbola sum would take isqrt(X) ~ 10^150 steps
     assert main(["divap", "delta", "--X", "1e300"]) == 2
     assert capsys.readouterr().err.startswith("error: hyperbola budget")
+
+
+def test_divap_mean_square_window_budget_exit_2(capsys):
+    # a window of 6.18e8 passes every hypothesis check; the sieve would need
+    # several int64 arrays of that length, so the budget stops it first
+    assert main(["divap", "mean-square", "--A", "382000000", "--B", "1000000000", "--q", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: window budget")
 
 
 def test_main_callable_directly(tmp_path, capsys):

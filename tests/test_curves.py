@@ -4,7 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ellstat.arith import divisors, factorize, hurwitz_sixfold, mu, primes_up_to, tau
+from ellstat.arith import (
+    divisors,
+    factorize,
+    hurwitz_sixfold,
+    hurwitz_table,
+    mu,
+    primes_up_to,
+    tau,
+)
 from ellstat.curves import (
     GroupShape,
     _trace_sixfolds,
@@ -135,7 +143,7 @@ def test_tally_matches_per_trace_reference():
         assert tally_structures(p).counts == _reference_counts(p), p
 
 
-def test_full_level_n_model_counts():
+def _assert_level_n_closed_forms(p, counts):
     """Models with n | d1, i.e. E[n] in E(F_p), counted without class numbers.
 
     n = 2: E[2] is rational iff x^3 + ax + b = (x - e1)(x - e2)(x - e3) with
@@ -152,16 +160,34 @@ def test_full_level_n_model_counts():
     (p-1)(p-3)/24, (p-1)(p-5)/48 and (p-1)(p-11)/120.
     """
     closed = {
-        2: lambda p: (p - 1) * (p - 2) // 6,
-        3: lambda p: (p - 1) * (p - 3) // 24,
-        4: lambda p: (p - 1) * (p - 5) // 48,
-        5: lambda p: (p - 1) * (p - 11) // 120,
+        2: (p - 1) * (p - 2) // 6,
+        3: (p - 1) * (p - 3) // 24,
+        4: (p - 1) * (p - 5) // 48,
+        5: (p - 1) * (p - 11) // 120,
     }
+    for n, models in closed.items():
+        if n == 2 or (p - 1) % n == 0:
+            assert sum(c for sh, c in counts.items() if sh.d1 % n == 0) == models, (p, n)
+
+
+def test_full_level_n_model_counts():
     for p in [*primes_up_to(1999)[2:], 100003, 100019, 100043]:
-        counts = tally_structures(p).counts
-        for n, models in closed.items():
-            if n == 2 or (p - 1) % n == 0:
-                assert sum(c for sh, c in counts.items() if sh.d1 % n == 0) == models(p), (p, n)
+        _assert_level_n_closed_forms(p, tally_structures(p).counts)
+
+
+def test_tally_from_hurwitz_table_matches_table_free_tally():
+    """The sweep path (one shared table) against the single-prime path, the
+    per-trace reference and the X(n) closed forms, dict order included."""
+    table = hurwitz_table(4 * 1999)
+    for p in primes_up_to(1999)[2:]:
+        counts = tally_structures(p, table).counts
+        assert list(counts.items()) == list(tally_structures(p).counts.items()), p
+        assert list(counts.items()) == list(_reference_counts(p).items()), p
+        _assert_level_n_closed_forms(p, counts)
+    for p, short in ((2003, table), (5, hurwitz_table(19)), (5, [])):
+        with pytest.raises(DomainError, match="Hurwitz table"):
+            tally_structures(p, short)
+    assert tally_structures(5, hurwitz_table(20)).counts == tally_structures(5).counts
 
 
 def test_tally_examples():

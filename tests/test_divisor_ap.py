@@ -120,6 +120,22 @@ def test_sieve_budget():
         tau_window_values(2 * 10**9, 2 * 10**9 + 10)
 
 
+def test_window_budget(monkeypatch):
+    assert divisor_ap._WINDOW_BUDGET == 10**7
+    with pytest.raises(BudgetError):
+        tau_window_values(10**8, 10**8 + 10**7 + 1)
+    # both sides of the bound, at a budget small enough to evaluate
+    monkeypatch.setattr(divisor_ap, "_WINDOW_BUDGET", 100)
+    assert len(tau_window_values(1000, 1100)) == 100
+    for A, B, q in ((1000, 1101, 1), (10**4, 10**4 + 101, 2)):
+        with pytest.raises(BudgetError):
+            tau_window_values(A, B)
+        with pytest.raises(BudgetError):
+            tau_sum_window(A, B, 0, q)
+        with pytest.raises(BudgetError):
+            mean_square_experiment(A, B, q)
+
+
 def test_hyperbola_budget(monkeypatch):
     assert divisor_ap._HYPERBOLA_BUDGET == 10**14
     for X in (10**14 + 1, 1e14 + 0.5, 1e300):
