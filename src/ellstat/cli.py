@@ -12,6 +12,12 @@ Subcommands::
 
 Exit codes: 0 success, 1 usage error, 2 domain or budget error.
 
+The parser is one stdlib ``argparse`` tree, built once at import.  A usage
+error prints the command's usage line and ``error: ...`` to stderr; ``--help``
+or ``-h`` at any level prints to stdout and exits 0.  Options are matched whole, never
+by prefix, and a negative number (``-7``, ``-1e5``, ``-inf``) after an option
+is that option's value.
+
 All CSV output is plain ASCII with 12 significant digits; rows are computed
 in one process and emitted in ascending order of the primary key, so outputs
 are bit-identical across runs.  Tallies are exact and deterministic; the
@@ -26,11 +32,12 @@ without a table, by one O(p) pass over reduced forms per prime.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import math
+import os
+import re
 import sys
-
-import click
 
 from . import analytic, curves, densities, divisor_ap
 from .arith import hurwitz_table, is_prime, primes_up_to
@@ -73,36 +80,16 @@ def _check_brute_p(p: int) -> None:
         )
 
 
-@click.group()
-def cli() -> None:
-    """Statistics of elliptic-curve groups over prime fields."""
-
-
 # ----------------------------------------------------------------------
 # brute
 # ----------------------------------------------------------------------
 
 _STAT_NAMES = {"s": "s", "c": "c", "tau": "tau_N", "one": "one"}
 
-_seed_option = click.option(
-    "--seed", type=int, default=0, show_default=True, expose_value=False,
-    help="ignored: the tally is deterministic",
-)
 
-
-@cli.command("brute")
-@click.option("--p", "p", type=int, required=True)
-@click.option("--stats", default="s", show_default=True, help="comma list of s,c,tau,one")
-@click.option(
-    "--formula",
-    type=click.Choice(["corrected", "printed"]),
-    default="corrected",
-    show_default=True,
-)
-@click.option("--tally", "show_tally", is_flag=True, help="also print the tally CSV")
-@_seed_option
-def cmd_brute(p, stats, formula, show_tally) -> None:
+def cmd_brute(args: argparse.Namespace) -> None:
     """Exhaustive weighted averages over all nonsingular models of one prime."""
+    p, stats, formula = args.p, args.stats, args.formula
     _check_brute_p(p)
     names = [s.strip() for s in stats.split(",") if s.strip()]
     if not names:
@@ -114,10 +101,10 @@ def cmd_brute(p, stats, formula, show_tally) -> None:
     averages = curves.weighted_averages(tally)
     lines = ["stat,value"]
     lines += [f"{name},{_fmt(averages.select(_STAT_NAMES[name], formula))}" for name in names]
-    if show_tally:
+    if args.show_tally:
         lines.append("d1,d2,count")
         lines += [f"{shape.d1},{shape.d2},{tally.counts[shape]}" for shape in sorted(tally.counts)]
-    click.echo("\n".join(lines))
+    print("\n".join(lines))
 
 
 # ----------------------------------------------------------------------
@@ -129,17 +116,9 @@ def _sweep_row(p: int, table: list[int]) -> list:
     return [p, avg.s_corrected, avg.s_printed, avg.c_corrected, avg.tau_N]
 
 
-@cli.command("sweep")
-@click.option("--xmax", type=int, required=True)
-@click.option(
-    "--threads", type=click.IntRange(min=1), default=1, show_default=True,
-    expose_value=False, help="ignored: rows are computed in one process",
-)
-@click.option("--out", type=click.Path(dir_okay=False), required=True)
-@_seed_option
-@click.option("--gnuplot", is_flag=True, help="also write a gnuplot script next to the CSV")
-def cmd_sweep(xmax, out, gnuplot) -> None:
+def cmd_sweep(args: argparse.Namespace) -> None:
     """Per-prime averages for all primes 5 <= p <= xmax, one CSV row each."""
+    xmax, out = args.xmax, args.out
     if xmax > _SWEEP_MAX:
         raise DomainError(f"sweep needs xmax <= {_SWEEP_MAX}, got {xmax}")
     table = hurwitz_table(4 * max(xmax, 0))
@@ -156,7 +135,7 @@ def cmd_sweep(xmax, out, gnuplot) -> None:
                 )
     except OSError as exc:
         raise DomainError(f"cannot write {out}: {exc}") from exc
-    if gnuplot:
+    if args.gnuplot:
         script = out + ".gp"
         with open(script, "w") as fh:
             fh.write(
@@ -164,19 +143,17 @@ def cmd_sweep(xmax, out, gnuplot) -> None:
                 f'plot "{out}" using (log($1)):7 with points title "running mean", '
                 "1.053*x title \"1.053 log x\"\n"
             )
-        click.echo(f"wrote {script}")
-    click.echo(f"wrote {out} ({len(rows)} rows)")
+        print(f"wrote {script}")
+    print(f"wrote {out} ({len(rows)} rows)")
 
 
 # ----------------------------------------------------------------------
 # fit
 # ----------------------------------------------------------------------
 
-@cli.command("fit")
-@click.option("--in", "infile", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--column", required=True)
-def cmd_fit(infile, column) -> None:
+def cmd_fit(args: argparse.Namespace) -> None:
     """Least-squares slope C of column = C * log(x), through the origin."""
+    infile, column = args.infile, args.column
     with open(infile, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or column not in reader.fieldnames:
@@ -206,20 +183,17 @@ def cmd_fit(infile, column) -> None:
     rms = math.sqrt(
         sum((y - slope * math.log(x)) ** 2 for x, y in zip(xs, ys)) / len(xs)
     )
-    click.echo(f"slope,{_fmt(slope)}")
-    click.echo(f"residual_rms,{_fmt(rms)}")
+    print(f"slope,{_fmt(slope)}")
+    print(f"residual_rms,{_fmt(rms)}")
 
 
 # ----------------------------------------------------------------------
 # compare
 # ----------------------------------------------------------------------
 
-@cli.command("compare")
-@click.option("--p", "plist", required=True, help="comma list of primes")
-@click.option("--stat", type=click.Choice(["s", "c"]), default="s", show_default=True)
-@_seed_option
-def cmd_compare(plist, stat) -> None:
+def cmd_compare(args: argparse.Namespace) -> None:
     """Brute force vs the printed-form main terms (A_unit, B_inverse)."""
+    plist, stat = args.plist, args.stat
     try:
         ps = [int(v) for v in plist.split(",") if v.strip()]
     except ValueError as exc:
@@ -228,7 +202,7 @@ def cmd_compare(plist, stat) -> None:
         raise DomainError(f"no primes in {plist!r}")
     for p in ps:
         _check_brute_p(p)
-    click.echo(",".join(COMPARE_HEADER))
+    print(",".join(COMPARE_HEADER))
     for p in ps:
         averages = curves.weighted_averages(curves.tally_structures(p))
         brute = {
@@ -246,103 +220,62 @@ def cmd_compare(plist, stat) -> None:
             for n in ("paper", "half"):
                 for f in ("corr", "printed"):
                     row.append(_fmt(abs(mts[(k, n)] - brute[f]) / brute[f]))
-        click.echo(",".join(row))
+        print(",".join(row))
 
 
 # ----------------------------------------------------------------------
 # density
 # ----------------------------------------------------------------------
 
-@cli.group("density")
-def cmd_density() -> None:
-    """Exact local matrix densities."""
-
-
-@cmd_density.command("f-ell")
-@click.option("--ell", type=int, required=True)
-@click.option("--p", "p", type=int, required=True)
-@click.option("--d1", type=int, required=True)
-@click.option("--d2", type=int, required=True)
-def cmd_f_ell(ell, p, d1, d2) -> None:
+def cmd_f_ell(args: argparse.Namespace) -> None:
     """Exact matrix density for one shape at one prime, from root counts."""
-    res = densities.f_ell(ell, d1, d2, p)
-    click.echo(f"value,{res.value}")
-    click.echo(f"float,{_fmt(res.value)}")
-    click.echo(f"stabilized_R,{res.stabilized_at_R}")
+    res = densities.f_ell(args.ell, args.d1, args.d2, args.p)
+    print(f"value,{res.value}")
+    print(f"float,{_fmt(res.value)}")
+    print(f"stabilized_R,{res.stabilized_at_R}")
 
 
-@cmd_density.command("g-sum")
-@click.option("--ell", type=int, required=True)
-@click.option("--p", "p", type=int, required=True)
-@click.option("--R", "R", type=int, required=True)
-@click.option("--v", type=int, default=0, show_default=True)
-def cmd_g_sum(ell, p, R, v) -> None:
+def cmd_g_sum(args: argparse.Namespace) -> None:
     """Sum of the trace-valuation densities g(w, v) for w = 0..R (ell != p)."""
+    ell, p, R, v = args.ell, args.p, args.R, args.v
     val = densities.g_sum(p, v, ell, R)
-    click.echo(f"value,{val}")
-    click.echo(f"float,{_fmt(val)}")
+    print(f"value,{val}")
+    print(f"float,{_fmt(val)}")
     if v == 0:
         from fractions import Fraction
 
         delta = 1 if (p - 1) % ell == 0 else 0
         pred = -Fraction(delta, ell * (ell * ell - 1)) + Fraction(1, ell ** (R + 1))
-        click.echo(f"predicted,{pred}")
+        print(f"predicted,{pred}")
 
 
 # ----------------------------------------------------------------------
 # prob
 # ----------------------------------------------------------------------
 
-@cli.command("prob")
-@click.option("--p", "p", type=int, required=True)
-@click.option("--d1", type=int, required=True)
-@click.option("--d2", type=int, required=True)
-@click.option(
-    "--lmax", type=int, default=1000, show_default=True,
-    help="truncation: primes l <= lmax, at least 2",
-)
-@click.option(
-    "--norm",
-    type=click.Choice(["paper", "half"]),
-    default=densities.DEFAULT_NORMALIZATION,
-    show_default=True,
-)
-def cmd_prob(p, d1, d2, lmax, norm) -> None:
+def cmd_prob(args: argparse.Namespace) -> None:
     """Truncated local-density product for P(E(F_p) iso Z/d1 x Z/d1*d2)."""
-    est = densities.probability_product(p, GroupShape(d1, d2), lmax, norm)
-    click.echo(f"value,{_fmt(est.value)}")
-    click.echo(f"tail_log_increment,{_fmt(est.tail_log_increment)}")
-    click.echo(f"ell_max,{est.ell_max}")
+    est = densities.probability_product(args.p, GroupShape(args.d1, args.d2), args.lmax, args.norm)
+    print(f"value,{_fmt(est.value)}")
+    print(f"tail_log_increment,{_fmt(est.tail_log_increment)}")
+    print(f"ell_max,{est.ell_max}")
 
 
 # ----------------------------------------------------------------------
 # divap
 # ----------------------------------------------------------------------
 
-@cli.group("divap")
-def cmd_divap() -> None:
-    """Divisor sums in arithmetic progressions and short intervals."""
-
-
-@cmd_divap.command("delta")
-@click.option("--X", "X", type=float, required=True)
-@click.option("--q", type=int, default=1, show_default=True)
-@click.option("--a", type=int, default=0, show_default=True)
-def cmd_delta(X, q, a) -> None:
+def cmd_delta(args: argparse.Namespace) -> None:
     """Delta(X, a, q): exact divisor sum minus the smooth main term."""
-    click.echo(f"delta,{_fmt(divisor_ap.delta_at(X, a, q))}")
+    print(f"delta,{_fmt(divisor_ap.delta_at(args.X, args.a, args.q))}")
 
 
-@cmd_divap.command("mean-square")
-@click.option("--A", "A", type=float, required=True)
-@click.option("--B", "B", type=float, required=True)
-@click.option("--q", type=int, required=True)
-def cmd_mean_square(A, B, q) -> None:
+def cmd_mean_square(args: argparse.Namespace) -> None:
     """Residue-averaged |Delta|^2 over (A, B] against its envelope."""
-    res = divisor_ap.mean_square_experiment(A, B, q)
-    click.echo(f"lhs,{_fmt(res.lhs)}")
-    click.echo(f"envelope,{_fmt(res.envelope)}")
-    click.echo(f"ratio,{_fmt(res.ratio)}")
+    res = divisor_ap.mean_square_experiment(args.A, args.B, args.q)
+    print(f"lhs,{_fmt(res.lhs)}")
+    print(f"envelope,{_fmt(res.envelope)}")
+    print(f"ratio,{_fmt(res.ratio)}")
 
 
 def default_grid() -> list[tuple[int, int, int]]:
@@ -362,10 +295,9 @@ def default_grid() -> list[tuple[int, int, int]]:
     return out
 
 
-@cmd_divap.command("grid")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-def cmd_grid(out) -> None:
+def cmd_grid(args: argparse.Namespace) -> None:
     """Run the mean-square experiment over the standard (A, B, q) grid."""
+    out = args.out
     rows = []
     for A, B, q in default_grid():
         res = divisor_ap.mean_square_experiment(A, B, q)
@@ -379,11 +311,148 @@ def cmd_grid(out) -> None:
                 w.writerows(rows)
         except OSError as exc:
             raise DomainError(f"cannot write {out}: {exc}") from exc
-        click.echo(f"wrote {out} ({len(rows)} rows)")
+        print(f"wrote {out} ({len(rows)} rows)")
     else:
-        click.echo(header)
+        print(header)
         for row in rows:
-            click.echo(",".join(str(v) for v in row))
+            print(",".join(str(v) for v in row))
+
+
+# ----------------------------------------------------------------------
+# parser
+# ----------------------------------------------------------------------
+
+class _UsageError(Exception):
+    """A command line the parser rejects; ``usage`` is that parser's usage line."""
+
+    def __init__(self, usage: str, message: str):
+        super().__init__(message)
+        self.usage = usage
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises ``_UsageError`` instead of exiting, matches options only whole,
+    and reads any negative number after an option as its value."""
+
+    _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
+
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault("allow_abbrev", False)
+        kwargs.setdefault("formatter_class", argparse.ArgumentDefaultsHelpFormatter)
+        super().__init__(*args, **kwargs)
+        # argparse reads only -7 and -.5 as numbers; -1e5 or -inf would be an option
+        self._negative_number_matcher = self._NEGATIVE_NUMBER
+
+    def error(self, message: str):
+        raise _UsageError(self.format_usage(), message)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return n
+
+
+def _output_file(text: str) -> str:
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    return text
+
+
+def _existing_file(text: str) -> str:
+    if not os.path.exists(text):
+        raise argparse.ArgumentTypeError(f"{text!r} does not exist")
+    return _output_file(text)
+
+
+def _command(group, name: str, run) -> argparse.ArgumentParser:
+    parser = group.add_parser(name, help=run.__doc__, description=run.__doc__)
+    parser.set_defaults(run=run)
+    return parser
+
+
+def _subcommands(parser: argparse.ArgumentParser):
+    return parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+
+def _group(commands, name: str, doc: str):
+    """A subcommand that only holds subcommands of its own."""
+    return _subcommands(commands.add_parser(name, help=doc, description=doc))
+
+
+def _add_seed(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, default=0, help="ignored: the tally is deterministic")
+
+
+def _build_parser() -> _Parser:
+    root = _Parser(prog="ellstat", description="Statistics of elliptic-curve groups over prime fields.")
+    commands = _subcommands(root)
+
+    brute = _command(commands, "brute", cmd_brute)
+    brute.add_argument("--p", type=int, required=True)
+    brute.add_argument("--stats", default="s", help="comma list of s,c,tau,one")
+    brute.add_argument(
+        "--formula", choices=["corrected", "printed"], default="corrected", help="which formula of the stats"
+    )
+    brute.add_argument("--tally", dest="show_tally", action="store_true", help="also print the tally CSV")
+    _add_seed(brute)
+
+    sweep = _command(commands, "sweep", cmd_sweep)
+    sweep.add_argument("--xmax", type=int, required=True)
+    sweep.add_argument(
+        "--threads", type=_positive_int, default=1, help="ignored: rows are computed in one process"
+    )
+    sweep.add_argument("--out", type=_output_file, required=True)
+    _add_seed(sweep)
+    sweep.add_argument("--gnuplot", action="store_true", help="also write a gnuplot script next to the CSV")
+
+    fit = _command(commands, "fit", cmd_fit)
+    fit.add_argument("--in", dest="infile", type=_existing_file, required=True)
+    fit.add_argument("--column", required=True)
+
+    compare = _command(commands, "compare", cmd_compare)
+    compare.add_argument("--p", dest="plist", required=True, help="comma list of primes")
+    compare.add_argument("--stat", choices=["s", "c"], default="s", help="the statistic to compare")
+    _add_seed(compare)
+
+    density_commands = _group(commands, "density", "Exact local matrix densities.")
+    f_ell = _command(density_commands, "f-ell", cmd_f_ell)
+    for name in ("--ell", "--p", "--d1", "--d2"):
+        f_ell.add_argument(name, type=int, required=True)
+    g_sum = _command(density_commands, "g-sum", cmd_g_sum)
+    for name in ("--ell", "--p", "--R"):
+        g_sum.add_argument(name, type=int, required=True)
+    g_sum.add_argument("--v", type=int, default=0)
+
+    prob = _command(commands, "prob", cmd_prob)
+    for name in ("--p", "--d1", "--d2"):
+        prob.add_argument(name, type=int, required=True)
+    prob.add_argument("--lmax", type=int, default=1000, help="truncation: primes l <= lmax, at least 2")
+    prob.add_argument(
+        "--norm", choices=["paper", "half"], default=densities.DEFAULT_NORMALIZATION,
+        help="archimedean factor: paper (total mass 2) or half (total mass 1)",
+    )
+
+    divap_commands = _group(commands, "divap", "Divisor sums in arithmetic progressions and short intervals.")
+    delta = _command(divap_commands, "delta", cmd_delta)
+    delta.add_argument("--X", type=float, required=True)
+    delta.add_argument("--q", type=int, default=1)
+    delta.add_argument("--a", type=int, default=0)
+    mean_square = _command(divap_commands, "mean-square", cmd_mean_square)
+    for name in ("--A", "--B"):
+        mean_square.add_argument(name, type=float, required=True)
+    mean_square.add_argument("--q", type=int, required=True)
+    grid = _command(divap_commands, "grid", cmd_grid)
+    grid.add_argument("--out", type=_output_file, default=None)
+    return root
+
+
+#: Built once at import: a pass of many short commands pays for it once.
+PARSER = _build_parser()
 
 
 # ----------------------------------------------------------------------
@@ -393,16 +462,18 @@ def cmd_grid(out) -> None:
 def main(argv: list[str] | None = None) -> int:
     """Console entry point with the documented exit-code contract."""
     try:
-        cli.main(args=argv, standalone_mode=False)
-        return 0
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
-    except click.UsageError as exc:
-        exc.show(file=sys.stderr)
+        args = PARSER.parse_args(argv)
+    except SystemExit as exc:  # --help has printed its text
+        return exc.code
+    except _UsageError as exc:
+        print(f"{exc.usage}error: {exc}", file=sys.stderr)
         return 1
+    try:
+        args.run(args)
     except (DomainError, BudgetError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import log, pi, sqrt
 from typing import NamedTuple
 
@@ -306,6 +307,30 @@ def g_sum(p: int, v: int, ell: int, R: int) -> Fraction:
 # probability product
 # ----------------------------------------------------------------------
 
+@lru_cache(maxsize=8)
+def _primes(ell_max: int) -> tuple[int, ...]:
+    return tuple(primes_up_to(ell_max))
+
+
+@lru_cache(maxsize=1 << 10)
+def _legendre_row(D: int, ell_max: int) -> bytes:
+    """(D | l) + 1 for every prime l <= ell_max, in ascending order of l.
+
+    1 marks l | D, 0 and 2 a non-residue and a residue: one Euler criterion
+    power per odd l, and at l = 2, (D | 2) = +1 iff D = +-1 mod 8.  D
+    depends on the shape only through |t|, so shapes of one p share rows.
+    """
+    row = bytearray()
+    for ell in _primes(ell_max):
+        if D % ell == 0:
+            row.append(1)
+        elif ell == 2:
+            row.append(2 if D % 8 in (1, 7) else 0)
+        else:
+            row.append(2 if pow(D % ell, (ell - 1) // 2, ell) == 1 else 0)
+    return bytes(row)
+
+
 def probability_product(
     p: int,
     shape: GroupShape,
@@ -317,8 +342,8 @@ def probability_product(
 
     Primes dividing the discriminant D = t^2 - 4p get the root-count
     density ``f_ell`` and ell = p its own local factor.  Every other prime
-    ell <= ell_max contributes l/(l - chi) with chi = (D | l), one Euler
-    criterion power (at l = 2, chi = +1 iff D = +-1 mod 8).  This is
+    ell <= ell_max contributes l/(l - chi) with chi = (D | l), read from
+    the cached row of Legendre symbols of D (``_legendre_row``).  This is
     ``f_ell_closed`` exactly: d1 | p - 1 and d1^2 | N give d1^2 | D (checked
     once, ``InvariantError``), so l does not divide d1, v = 0 and
     chi(D/d1^2) = chi(D), and l^2/(l^2 - 1) (1 + chi/l) = l/(l - chi).  The
@@ -346,17 +371,13 @@ def probability_product(
         raise InvariantError(f"d1^2 = {d1 * d1} does not divide D = {D}")
     value = f_infty(t, p, normalization)
     tail_log = 0.0
-    for ell in primes_up_to(ell_max):
+    for ell, chi1 in zip(_primes(ell_max), _legendre_row(D, ell_max)):
         if ell == p:
             factor = float(f_p_local(p, N))
-        elif D % ell == 0:
+        elif chi1 == 1:  # ell | D
             factor = float(f_ell(ell, d1, d2, p).value)
         else:
-            if ell == 2:
-                chi = 1 if D % 8 in (1, 7) else -1
-            else:
-                chi = 1 if pow(D % ell, (ell - 1) // 2, ell) == 1 else -1
-            factor = ell / (ell - chi)
+            factor = ell / (ell - (chi1 - 1))
         if factor == 0.0:
             return ProbabilityEstimate(0.0, 0.0, ell_max)
         value *= factor

@@ -85,6 +85,65 @@ def test_usage_error_exit_1():
     assert code == 1
 
 
+_PROB = ["prob", "--p", "101", "--d1", "1", "--d2", "106", "--lmax", "50"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ([], 1),
+        (["--help"], 0),
+        (["brute", "--help"], 0),
+        (["density", "--help"], 0),
+        (["divap", "delta", "--help"], 0),
+        (["brute"], 1),  # --p is required
+        (["brute", "--p", "x"], 1),
+        (["brute", "--p", "5", "--st", "one"], 1),  # no prefix matching
+        (["brute", "--p", "5", "extra"], 1),
+        (["brute", "--p", "5", "--formula", "exact"], 1),
+        (["brute", "--p=5", "--stats=one"], 0),
+        (["brute", "--p", "-7"], 2),
+        ([*_PROB, "--norm", "bad"], 1),
+        ([*_PROB, "--norm", "paper"], 0),
+        (["compare", "--p", "101", "--stat", "tau"], 1),
+        (["sweep", "--xmax", "20", "--threads", "0", "--out", "unused.csv"], 1),
+        (["sweep", "--xmax", "20", "--threads", "x", "--out", "unused.csv"], 1),
+        (["sweep", "--xmax", "20"], 1),  # --out is required
+        (["sweep", "--xmax", "20", "--out", "."], 1),  # a directory
+        (["divap", "grid", "--out", "."], 1),
+        (["fit", "--in", "/nonexistent", "--column", "y"], 1),
+        (["fit", "--in", ".", "--column", "y"], 1),  # a directory
+        (["density"], 1),
+        (["divap"], 1),
+        (["density", "f-ell", "--ell", "3", "--p", "7", "--d1", "1"], 1),
+        (["divap", "delta", "--X", "-1e5"], 0),
+        (["divap", "delta", "--X", "-inf", "--q", "3"], 2),
+        (["divap", "mean-square", "--A", "-1e3", "--B", "10", "--q", "1"], 2),
+    ],
+)
+def test_usage_contract(argv, code, capsys):
+    # exit codes and streams only: the wording is the parser's own
+    assert main(argv) == code, capsys.readouterr()
+    out, err = capsys.readouterr()
+    if code == 1:
+        assert out == "" and err, (out, err)
+    if argv[-1:] == ["--help"]:
+        assert "usage" in out.lower() and err == "", (out, err)
+
+
+def test_import_cli_loads_no_click():
+    code = "import sys, ellstat.cli; print('click' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": "src"},
+        cwd=os.path.join(os.path.dirname(__file__), os.pardir),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_sweep_and_fit(tmp_path):
     out = tmp_path / "sweep.csv"
     code, stdout, _ = run_cli("sweep", "--xmax", "50", "--out", str(out))
