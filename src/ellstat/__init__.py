@@ -6,8 +6,8 @@ theorem (Hurwitz class numbers), truncated products of exact local matrix
 densities, and the analytic main term with exact Euler factors - plus a
 laboratory for divisor sums in arithmetic progressions and short intervals.
 The routes are not independent (Gekeler writes the class numbers as products
-of the same local densities); model-by-model enumeration is the test oracle
-of the count.
+of the same local densities); model-by-model enumeration in
+``tests/oracles.py`` is the test oracle of the count.
 """
 
 from .arith import (
@@ -18,18 +18,11 @@ from .arith import (
     primes_up_to,
     ramanujan_sum,
 )
-from .curves import (
-    StructureTally,
-    empirical_probability,
-    group_shape,
-    point_count,
-    tally_structures,
-    weighted_average,
-)
+from .curves import StructureTally, empirical_probability, tally_structures
 from .densities import f_ell, f_ell_closed, f_infty, f_p_local, g_density, g_sum, probability_product
 from .divisor_ap import delta_window, dirichlet_main, mean_square_experiment, tau_sum_window
 from .errors import BudgetError, DomainError, InvariantError
-from .groups import GroupShape, cyclic_subgroup_count, stat_on_shape, subgroup_count, subgroup_oracle
+from .groups import GroupShape, stat_on_shape
 from .analytic import cyclicity_probability, estimate_average_slope, local_factor, main_term
 
 __all__ = [
@@ -38,7 +31,6 @@ __all__ = [
     "GroupShape",
     "InvariantError",
     "StructureTally",
-    "cyclic_subgroup_count",
     "cyclicity_probability",
     "delta_window",
     "dirichlet_main",
@@ -52,22 +44,17 @@ __all__ = [
     "factorize",
     "g_density",
     "g_sum",
-    "group_shape",
     "kronecker_chi",
     "local_factor",
     "main_term",
     "mean_square_experiment",
     "multiplicative_suite",
-    "point_count",
     "primes_up_to",
     "probability_product",
     "ramanujan_sum",
     "stat_on_shape",
-    "subgroup_count",
-    "subgroup_oracle",
     "tally_structures",
     "tau_sum_window",
-    "weighted_average",
 ]
 
 __version__ = "0.1.0"

@@ -113,7 +113,7 @@ def _euler_factor_at(p: int, ell: int, v: int) -> Fraction:
     E_l = l^(2v) sum_{n >= 2v} pi_l(v, n) = l^(2v) (a + b/(l-1)) with
     (a, b) = densities.frobenius_law(l, v_l(p-1), v).  The tests check it
     against the count l^(2v) level_congruence_count(p, v, l, 2v+1) /
-    _norm3(l, 2v+1).
+    _norm3(l, 2v+1), with ``_norm3`` from ``tests/oracles.py``.
     """
     a, b = frobenius_law(ell, valuation(p - 1, ell), v)
     E = ell ** (2 * v) * (a + b / (ell - 1))
@@ -123,6 +123,7 @@ def _euler_factor_at(p: int, ell: int, v: int) -> Fraction:
     return E
 
 
+# Kept for perfbench, which times it as a span (spans.TARGETS); the CLI never calls it.
 def local_factor(p: int, d1: int, ell: int) -> Fraction:
     """Exact Euler factor of the main term at the prime ell for d1 | p - 1.
 
@@ -138,6 +139,7 @@ def local_factor(p: int, d1: int, ell: int) -> Fraction:
     return _euler_factor_at(p, ell, valuation(d1, ell))
 
 
+# Kept for perfbench, which times it as a span (spans.TARGETS); the CLI never calls it.
 def euler_product(p: int, d1: int) -> Fraction:
     """prod_l local_factor(p, d1, l); finite, supported on l | p - 1."""
     out = Fraction(1)

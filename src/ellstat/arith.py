@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
@@ -316,10 +315,3 @@ def hurwitz_table(M: int) -> list[int]:
         a += 1
     return table
 
-
-def hurwitz_class_number(D: int) -> Fraction:
-    """Hurwitz class number H(D): the SL_2(Z)-classes of positive definite
-    binary quadratic forms of discriminant -D, primitive or not, with
-    a(x^2 + y^2) weighted 1/2 and a(x^2 + xy + y^2) weighted 1/3.
-    """
-    return Fraction(hurwitz_sixfold(D), 6)

@@ -332,7 +332,8 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """Raises ``_UsageError`` instead of exiting, matches options only whole,
-    and reads any negative number after an option as its value."""
+    reads any negative number after an option as its value, and reports a
+    command's unrecognized arguments with that command's usage line."""
 
     _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
 
@@ -345,6 +346,13 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise _UsageError(self.format_usage(), message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        # a command rejects its own leftovers; argparse would pass them up to the root
+        if extras and self.get_default("run"):
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def _positive_int(text: str) -> int:
@@ -431,7 +439,7 @@ def _build_parser() -> _Parser:
     prob = _command(commands, "prob", cmd_prob)
     for name in ("--p", "--d1", "--d2"):
         prob.add_argument(name, type=int, required=True)
-    prob.add_argument("--lmax", type=int, default=1000, help="truncation: primes l <= lmax, at least 2")
+    prob.add_argument("--lmax", type=int, default=1000, help="truncation: primes l <= lmax, from 2 to 10^7")
     prob.add_argument(
         "--norm", choices=["paper", "half"], default=densities.DEFAULT_NORMALIZATION,
         help="archimedean factor: paper (total mass 2) or half (total mass 1)",

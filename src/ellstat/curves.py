@@ -1,5 +1,5 @@
-"""Short-Weierstrass curves y^2 = x^3 + ax + b over F_p: point counts, group
-shapes, structure tallies and weighted averages.
+"""Short-Weierstrass curves y^2 = x^3 + ax + b over F_p: structure tallies
+by group shape and weighted averages.
 
 ``tally_structures`` counts all p^2 - p nonsingular models of one prime by
 group shape Z/d1 x Z/(d1*d2) without enumerating a single curve.  By
@@ -27,9 +27,8 @@ n^2 | N and read ``arith.hurwitz_sixfold`` directly.
 ``groups.shape_statistics`` call per shape; ``weighted_average_from_tally``
 selects one of them.
 
-The per-model operations (``point_count``, ``group_shape``) are plain scalar
-functions; ``group_shape`` finds the exponent by a deterministic scan of all
-points.  They are the oracle the tests hold the tally to, model by model.
+The per-model point counts and group shapes that the tests hold the tally
+to, model by model, are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -38,12 +37,9 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
-import numpy as np
-
-from .arith import divisors, factorize, hurwitz_sixfold, mu, require_p
+from .arith import divisors, hurwitz_sixfold, mu, require_p
 from .errors import DomainError, InvariantError
 from .groups import SHAPE_STATS, GroupShape, shape_statistics, statistic_field
 
@@ -65,123 +61,6 @@ def hasse_admissible(p: int, N: int) -> bool:
     """Whether N lies in the Hasse interval [(sqrt(p)-1)^2, (sqrt(p)+1)^2]."""
     t = p + 1 - N
     return t * t < 4 * p
-
-
-@lru_cache(maxsize=16)
-def _tables(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quadratic character table chi[v] and a square-root table for F_p."""
-    x = np.arange(1, p, dtype=np.int64)
-    chi = np.full(p, -1, dtype=np.int64)
-    chi[0] = 0
-    sq = (x * x) % p
-    chi[sq] = 1
-    root = np.zeros(p, dtype=np.int64)
-    root[sq] = x
-    return chi, root
-
-
-def point_count(p: int, a: int, b: int) -> int:
-    """|E(F_p)| for the nonsingular model y^2 = x^3 + ax + b.
-
-    Computed as p + 1 + sum_x chi(x^3 + ax + b) with chi the quadratic
-    character (chi(0) = 0), one table lookup per x.
-    """
-    require_p(p)
-    a %= p
-    b %= p
-    if (4 * a * a * a + 27 * b * b) % p == 0:
-        raise DomainError(f"singular model (a={a}, b={b}) over F_{p}")
-    chi, _ = _tables(p)
-    x = np.arange(p, dtype=np.int64)
-    f = ((x * x % p) * x + a * x + b) % p
-    return p + 1 + int(chi[f].sum())
-
-
-# ----------------------------------------------------------------------
-# scalar affine group law (per-model path)
-# ----------------------------------------------------------------------
-
-def _affine_add(P, Q, a, p):
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (lam * lam - x1 - x2) % p
-    return x3, (lam * (x1 - x3) - y1) % p
-
-
-def _affine_mul(k, P, a, p):
-    acc = None
-    while k:
-        if k & 1:
-            acc = _affine_add(acc, P, a, p)
-        P = _affine_add(P, P, a, p)
-        k >>= 1
-    return acc
-
-
-def _point_order(P, a, p, N, fac) -> int:
-    order = N
-    for q, e in fac:
-        for _ in range(e):
-            if _affine_mul(order // q, P, a, p) is None:
-                order //= q
-            else:
-                break
-    return order
-
-
-def _d1_candidates(p: int, N: int) -> list[tuple[int, int]]:
-    """Primes (q, v_q(N)) that could divide d1: q | p-1 and q^2 | N."""
-    return [(q, e) for q, e in factorize(N) if e >= 2 and (p - 1) % q == 0]
-
-
-def _affine_points(p, a, b):
-    chi, root = _tables(p)
-    for x in range(p):
-        f = ((x * x % p) * x + a * x + b) % p
-        if chi[f] >= 0:
-            yield (x, 0 if f == 0 else int(root[f]))
-
-
-def _exponent_by_scan(p, a, b, N, fac) -> int:
-    exponent = 1
-    for P in _affine_points(p, a, b):
-        exponent = math.lcm(exponent, _point_order(P, a, p, N, fac))
-        if exponent == N:
-            break
-    return exponent
-
-
-def group_shape(p: int, a: int, b: int, N: int | None = None) -> GroupShape:
-    """Invariants (d1, d2) with E(F_p) iso Z/d1 x Z/(d1*d2), d1^2*d2 = N.
-
-    d1 = N / exponent(E), the exponent being the lcm of the orders of all
-    points (a deterministic full scan, stopped once it reaches N).  The
-    result is verified to satisfy d1 | gcd(N, p - 1).
-    """
-    require_p(p)
-    a %= p
-    b %= p
-    if N is None:
-        N = point_count(p, a, b)
-    if not _d1_candidates(p, N):
-        return GroupShape(1, N)
-    d1 = N // _exponent_by_scan(p, a, b, N, factorize(N))
-    if (p - 1) % d1 or N % (d1 * d1):
-        raise InvariantError(
-            f"full scan gave d1={d1} not dividing gcd(N, p-1) at "
-            f"p={p}, a={a}, b={b}"
-        )
-    return GroupShape(d1, N // (d1 * d1))
 
 
 # ----------------------------------------------------------------------
@@ -302,11 +181,6 @@ def _validate_tally(tally: StructureTally) -> None:
             raise InvariantError(f"inadmissible shape {shape} at p={p}")
 
 
-def is_supersingular(p: int, N: int) -> bool:
-    """Trace-zero test: over F_p with p >= 5, supersingular means N = p + 1."""
-    return N == p + 1
-
-
 def empirical_probability(tally: StructureTally, shape: GroupShape) -> Fraction:
     """P(E(F_p) iso Z/d1 x Z/(d1*d2)) under the 1/|Aut| weighting, exactly.
 
@@ -344,20 +218,10 @@ def weighted_averages(tally: StructureTally) -> TallyAverages:
     )
 
 
+# Kept for perfbench, which times it as a span (spans.TARGETS); the CLI never calls it.
 def weighted_average_from_tally(
     tally: StructureTally, stat: str, formula: str = "corrected"
 ) -> Fraction:
     """Automorphism-weighted average of a shape statistic, exactly."""
     return weighted_averages(tally).select(stat, formula)
 
-
-def weighted_average(
-    p: int,
-    stat: str,
-    formula: str = "corrected",
-    tally: StructureTally | None = None,
-) -> Fraction:
-    """Average of stat over E in Ell(p), each class weighted by 1/|Aut(E)|."""
-    if tally is None:
-        tally = tally_structures(p)
-    return weighted_average_from_tally(tally, stat, formula)

@@ -15,7 +15,9 @@ is a sum of O(R) root counts of one quadratic modulo l^k, i.e. square roots
 of D/l^(2u) evaluated with the quadratic character (Gekeler, IMRN 2003,
 section 4, with the congruence level added), and g reads the closed-form
 Frobenius law pi_l(x, n) of (level, v_l(N)) (``frobenius_law``).  The
-matrix enumerations are kept at the end of the module as test oracles.
+matrix enumerations that the tests hold these to are in ``tests/oracles.py``;
+only the telescoped congruence-class count ``level_congruence_count``, which
+perfbench times, stays at the end of the module.
 
 All densities are exact ``Fraction`` values; floats appear only in the
 archimedean factor and in truncated products.  The product's factor at a
@@ -30,8 +32,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import log, pi, sqrt
 from typing import NamedTuple
-
-import numpy as np
 
 from .arith import is_prime, kronecker_chi, primes_up_to, require_p, valuation
 from .errors import BudgetError, DomainError, InvariantError
@@ -159,7 +159,8 @@ def frobenius_law(ell: int, e: int, x: int) -> tuple[Fraction, Fraction]:
     For e = v_l(p - 1) and congruence level exactly x (0 <= x <= e) returns
     (a, b) with pi_l(x, 2x) = a and pi_l(x, n) = b * l^-(n - 2x) for n > 2x;
     pi_l(x, n) = 0 for n < 2x.  Matches the enumeration
-    ``_bucket_count_level(p, n, x, l, n + 1) / _norm3(l, n + 1)`` (tests).
+    ``_bucket_count_level(p, n, x, l, n + 1) / _norm3(l, n + 1)`` of
+    ``tests/oracles.py``.
     """
     if not 0 <= x <= e:
         raise DomainError(f"level x={x} outside 0..{e}")
@@ -191,10 +192,6 @@ def _norm2(ell: int, R: int) -> int:
     return ell ** (2 * R) - ell ** (2 * R - 2)
 
 
-def _norm3(ell: int, R: int) -> int:
-    return ell ** (3 * R) - ell ** (3 * R - 2)
-
-
 def f_ell(ell: int, d1: int, d2: int, p: int) -> LocalFactor:
     """Exact matrix density for the shape (d1, d2) at the prime ell.
 
@@ -203,9 +200,7 @@ def f_ell(ell: int, d1: int, d2: int, p: int) -> LocalFactor:
     normalized value and R.
     """
     _check_prime(ell, "ell")
-    _check_prime(p, "p")
-    if p < 5:
-        raise DomainError(f"need p >= 5, got {p}")
+    require_p(p)
     if d1 < 1 or d2 < 1 or (p - 1) % d1:
         raise DomainError(f"inadmissible shape ({d1}, {d2}) for p={p}")
     N = d1 * d1 * d2
@@ -224,6 +219,7 @@ def f_ell(ell: int, d1: int, d2: int, p: int) -> LocalFactor:
     return LocalFactor(val, R)
 
 
+# Kept for perfbench, which times it as a span (spans.TARGETS); the CLI never calls it.
 def f_ell_closed(ell: int, d1: int, d2: int, p: int) -> Fraction:
     """Closed form l^-v (1 - 1/l^2)^-1 (1 + chi/l), valid when l does not
     divide D/d1^2; chi is the quadratic character of D/d1^2 at l.
@@ -307,6 +303,10 @@ def g_sum(p: int, v: int, ell: int, R: int) -> Fraction:
 # probability product
 # ----------------------------------------------------------------------
 
+#: The product sieves every prime up to ell_max: about 2 s and 66 MB at 10^7.
+_LMAX_BUDGET = 10**7
+
+
 @lru_cache(maxsize=8)
 def _primes(ell_max: int) -> tuple[int, ...]:
     return tuple(primes_up_to(ell_max))
@@ -349,7 +349,8 @@ def probability_product(
     chi(D/d1^2) = chi(D), and l^2/(l^2 - 1) (1 + chi/l) = l/(l - chi).  The
     int/int division rounds that rational as ``float(Fraction)`` does, so
     each factor is bit-identical to the closed form's.  ell_max < 2 leaves
-    no prime and raises ``DomainError``.
+    no prime and raises ``DomainError``; ell_max above ``_LMAX_BUDGET``
+    raises ``BudgetError`` before any prime is sieved.
     The reported diagnostic is the log-increment contributed by the last
     decade (ell_max/10, ell_max] of the truncation, a measure of the slow
     conditional convergence of the character tail.
@@ -360,6 +361,8 @@ def probability_product(
         raise DomainError(f"invalid shape {shape}")
     if ell_max < 2:
         raise DomainError(f"need ell_max >= 2, got {ell_max}: no primes to multiply")
+    if ell_max > _LMAX_BUDGET:
+        raise BudgetError(f"ell_max budget is {_LMAX_BUDGET}, got {ell_max}")
     if (p - 1) % d1:
         return ProbabilityEstimate(0.0, 0.0, ell_max)
     N = shape.order
@@ -387,25 +390,10 @@ def probability_product(
 
 
 # ----------------------------------------------------------------------
-# matrix enumeration oracles (tests only)
+# the telescoped congruence-class count (oracle of analytic's Euler factors)
 # ----------------------------------------------------------------------
 
-def _bucket_count_level(p: int, w: int, v: int, ell: int, R: int) -> int:
-    """#{g : det g = p, v_l(p + 1 - tr g) = w exactly, level exactly v}.
-
-    Sums the fixed-trace count over the l^(R-w-1)(l-1) traces of the class;
-    the oracle of ``frobenius_law`` and of the g densities.
-    """
-    if w >= R:
-        raise DomainError(f"exact bucket needs w < R, got w={w}, R={R}")
-    q = ell**R
-    return sum(
-        _count_trace_fixed_level(p, (p + 1 - k * ell**w) % q, ell, R, v)
-        for k in range(ell ** (R - w))
-        if k % ell
-    )
-
-
+# Kept for perfbench, which times it as a span (spans.TARGETS); the CLI never calls it.
 def level_congruence_count(p: int, v: int, ell: int, R: int) -> int:
     """#{g in M_2(Z/l^R) : det g = p, tr g == p + 1 mod l^(2v), level exactly v}.
 
@@ -423,58 +411,4 @@ def level_congruence_count(p: int, v: int, ell: int, R: int) -> int:
     for s in range(ell ** (R - 2 * v)):
         t = (p + 1 - s * step) % q
         total += _count_trace_fixed_level(p, t, ell, R, v)
-    return total
-
-
-def count_trace_fixed_enum(p: int, t: int, ell: int, R: int, u: int) -> int:
-    """O(l^(3R)) oracle: loop g11 and the full (g12, g21) grid."""
-    u = min(u, R)
-    q = ell**R
-    if q**3 > 1 << 24:
-        raise BudgetError("enumeration oracle limited to l^(3R) <= 2^24")
-    s = ell**u
-    pm, tm = p % q, t % q
-    g = np.arange(q, dtype=np.int64)
-    prod = g[:, None] * g[None, :] % q
-    lvl = (g % s == 0)
-    pair_ok = lvl[:, None] & lvl[None, :]
-    total = 0
-    for g11 in range(1 % s, q, s):
-        g22 = (tm - g11) % q
-        if (g22 - 1) % s:
-            continue
-        c = (g11 * g22 - pm) % q
-        total += int((pair_ok & (prod == c)).sum())
-    return total
-
-
-def count_bucket_enum(p: int, w: int, v: int, ell: int, R: int) -> int:
-    """O(l^(4R)) oracle for the trace-valuation bucket count at exact level v.
-
-    Loops (g11, g22) in Python with the (g12, g21) grid in numpy; w = R
-    requests the tail bucket v_l(p + 1 - tr) >= R.
-    """
-    q = ell**R
-    if q**4 > 1 << 26:
-        raise BudgetError("enumeration oracle limited to l^(4R) <= 2^26")
-    g = np.arange(q, dtype=np.int64)
-    grid = g[:, None] * g[None, :] % q
-    lv = min(ell**v, q)
-    lv1 = min(ell ** (v + 1), q)
-    pair_v = (g % lv == 0)[:, None] & (g % lv == 0)[None, :]
-    pair_v1 = (g % lv1 == 0)[:, None] & (g % lv1 == 0)[None, :]
-    total = 0
-    for g11 in range(q):
-        for g22 in range(q):
-            m = (p + 1 - g11 - g22) % q
-            wv = R if m == 0 else valuation(m, ell)
-            if (wv != w) if w < R else (wv < R):
-                continue
-            if (g11 - 1) % lv or (g22 - 1) % lv:
-                continue
-            ok = grid == (g11 * g22 - p) % q
-            cnt = int((ok & pair_v).sum())
-            if (g11 - 1) % lv1 == 0 and (g22 - 1) % lv1 == 0:
-                cnt -= int((ok & pair_v1).sum())
-            total += cnt
     return total

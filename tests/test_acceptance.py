@@ -21,13 +21,8 @@ from ellstat.curves import (
 )
 from ellstat.densities import f_ell, f_ell_closed, g_sum, probability_product
 from ellstat.divisor_ap import delta_at, mean_square_experiment
-from ellstat.groups import (
-    GroupShape,
-    cyclic_subgroup_count,
-    stat_on_shape,
-    subgroup_count,
-    subgroup_oracle,
-)
+from ellstat.groups import GroupShape, stat_on_shape
+from oracles import cyclic_subgroup_count, subgroup_count, subgroup_oracle
 
 _TALLY_CACHE: dict[int, object] = {}
 _TABLE_P = 2423  # criterion 5's range: one class-number table serves its sweep

@@ -21,8 +21,9 @@ from ellstat.analytic import (
 from ellstat import analytic, arith
 from ellstat.arith import divisors, factorize, is_prime, phi, phi_star_mu, primes_up_to, tau, valuation
 from ellstat.curves import tally_structures, weighted_average_from_tally
-from ellstat.densities import _bucket_count_level, _count_trace_fixed_level, _norm3, level_congruence_count
+from ellstat.densities import _count_trace_fixed_level, level_congruence_count
 from ellstat.errors import DomainError
+from oracles import _bucket_count_level, _norm3
 
 
 def test_cyclicity_examples():

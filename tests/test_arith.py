@@ -13,7 +13,6 @@ from ellstat import arith
 from ellstat.arith import (
     divisors,
     factorize,
-    hurwitz_class_number,
     hurwitz_sixfold,
     hurwitz_table,
     is_prime,
@@ -49,16 +48,17 @@ def test_primes_up_to_matches_miller_rabin():
     assert primes[-1] == 99991
 
 
-def test_import_arith_loads_no_numpy():
-    # arith's own imports, without the package __init__ (which loads curves)
+@pytest.mark.parametrize("module", ["arith", "groups", "curves", "densities", "analytic"])
+def test_import_arith_loads_no_numpy(module):
+    # the module's own imports, without the package __init__ (which loads divisor_ap)
     code = (
-        "import sys, types; "
+        "import importlib, sys, types; "
         "pkg = types.ModuleType('ellstat'); pkg.__path__ = [sys.argv[1]]; "
         "sys.modules['ellstat'] = pkg; "
-        "import ellstat.arith; print('numpy' in sys.modules)"
+        "importlib.import_module('ellstat.' + sys.argv[2]); print('numpy' in sys.modules)"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, os.path.dirname(arith.__file__)],
+        [sys.executable, "-c", code, os.path.dirname(arith.__file__), module],
         capture_output=True,
         text=True,
     )
@@ -69,7 +69,7 @@ def test_import_arith_loads_no_numpy():
 def test_require_p_is_the_one_prime_check():
     from ellstat.analytic import cyclicity_probability
     from ellstat.curves import tally_structures
-    from ellstat.densities import f_p_local, probability_product
+    from ellstat.densities import f_ell, f_p_local, probability_product
     from ellstat.groups import GroupShape
 
     require_p(5)
@@ -81,6 +81,7 @@ def test_require_p_is_the_one_prime_check():
             lambda: tally_structures(bad),
             lambda: f_p_local(bad, 1),
             lambda: probability_product(bad, GroupShape(1, 1), 10),
+            lambda: f_ell(3, 1, 1, bad),
         )
         for call in calls:
             with pytest.raises(DomainError, match=rf"^need a prime p >= 5, got {bad}$"):
@@ -244,19 +245,19 @@ def test_hurwitz_class_number_examples():
         3: Fraction(1, 3), 4: Fraction(1, 2), 7: 1, 8: 1, 11: 1, 12: Fraction(4, 3),
         15: 2, 16: Fraction(3, 2), 19: 1, 20: 2, 23: 3, 24: 2, 27: Fraction(4, 3), 28: 2,
     }
-    assert {D: hurwitz_class_number(D) for D in expected} == expected
+    assert {D: Fraction(hurwitz_sixfold(D), 6) for D in expected} == expected
     for D in (1, 2, 5, 6, 9, 10, 101, 4002):
-        assert hurwitz_class_number(D) == 0
+        assert hurwitz_sixfold(D) == 0
     for D in (0, -3, -4):
         with pytest.raises(DomainError):
-            hurwitz_class_number(D)
+            hurwitz_sixfold(D)
 
 
 def test_hurwitz_class_number_kronecker_relation():
     # sum_{t^2 < 4p} H(4p - t^2) = 2p; a wrong 1/2 or 1/3 weight breaks it
     for p in primes_up_to(2423)[2:]:
         tmax = math.isqrt(4 * p - 1)
-        assert sum(hurwitz_class_number(4 * p - t * t) for t in range(-tmax, tmax + 1)) == 2 * p
+        assert sum(Fraction(hurwitz_sixfold(4 * p - t * t), 6) for t in range(-tmax, tmax + 1)) == 2 * p
 
 
 def test_hurwitz_table_matches_per_value():
@@ -286,6 +287,6 @@ def test_hurwitz_sixfold_is_six_h_and_counts_three_squares():
                     r3[x * x + y * y + z * z] += 1
     for D in range(1, 4 * M + 1):
         six = hurwitz_sixfold(D)
-        assert isinstance(six, int) and hurwitz_class_number(D) == Fraction(six, 6)
+        assert isinstance(six, int)
     for n in range(1, M + 1):
         assert r3[n] == 2 * hurwitz_sixfold(4 * n) - 4 * hurwitz_sixfold(n), n

@@ -85,6 +85,20 @@ def test_usage_error_exit_1():
     assert code == 1
 
 
+def test_leftover_arguments_show_the_command_usage(capsys):
+    cases = (
+        (["brute", "--p", "5", "extra"], "usage: ellstat brute "),
+        (["density", "f-ell", "--ell", "3", "--p", "7", "--d1", "1", "--d2", "8", "extra"],
+         "usage: ellstat density f-ell "),
+        (["--bogus", "brute", "--p", "5"], "usage: ellstat [-h]"),  # the root's own leftover
+    )
+    for argv, usage in cases:
+        assert main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(usage), (argv, err)
+        assert "error: unrecognized arguments: " in err, (argv, err)
+
+
 _PROB = ["prob", "--p", "101", "--d1", "1", "--d2", "106", "--lmax", "50"]
 
 
@@ -287,6 +301,14 @@ def test_prob_lmax_without_primes_exit_2():
         code, out, err = run_cli("prob", "--p", "101", "--d1", "1", "--d2", "106", "--lmax", lmax)
         assert code == 2, (lmax, out, err)
         assert "ell_max" in err
+
+
+def test_prob_lmax_above_budget_exit_2(capsys):
+    # refused before the sieve: primes up to 10^12 would take terabytes
+    for lmax in (10**7 + 1, 10**12):
+        assert main(["prob", "--p", "101", "--d1", "1", "--d2", "106", "--lmax", str(lmax)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ell_max budget is 10000000"), (lmax, err)
 
 
 def test_compare_row_finite():

@@ -8,8 +8,6 @@ from ellstat.arith import primes_up_to, valuation
 from ellstat.curves import empirical_probability, tally_structures
 from ellstat.densities import (
     DEFAULT_NORMALIZATION,
-    count_bucket_enum,
-    count_trace_fixed_enum,
     f_ell,
     f_ell_closed,
     f_infty,
@@ -18,15 +16,14 @@ from ellstat.densities import (
     g_density_tail,
     g_sum,
     probability_product,
-    _bucket_count_level,
     _count_trace_fixed,
     _count_trace_fixed_level,
     _norm2,
-    _norm3,
     _sqrt_counts,
 )
 from ellstat.errors import DomainError
 from ellstat.groups import GroupShape
+from oracles import _bucket_count_level, _norm3, count_bucket_enum, count_trace_fixed_enum
 
 
 # ----------------------------------------------------------------------
