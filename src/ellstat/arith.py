@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -219,28 +220,13 @@ def phi_star_mu(n: int) -> int:
     return multiplicative_suite(n).phi_star_mu
 
 
-def ramanujan_sum(k: int, a: int, method: str = "divisor") -> int:
-    """Ramanujan sum c_k(a), exactly.
-
-    method="divisor" evaluates sum_{f | (k,a)} f * mu(k/f); the independent
-    path method="von_sterneck" combines the prime-power values
-    c_{l^r}(a) = l^r * {0, -1/l, 1-1/l} multiplicatively.  Both agree.
-    """
+def ramanujan_sum(k: int, a: int) -> int:
+    """Ramanujan sum c_k(a) = sum_{f | (k,a)} f * mu(k/f), exactly."""
     if k < 1:
         raise DomainError(f"modulus must be >= 1, got {k}")
     a %= k
-    if method == "divisor":
-        g = math.gcd(k, a) if a else k
-        return sum(f * mu(k // f) for f in divisors(g))
-    if method == "von_sterneck":
-        out = 1
-        for p, r in factorize(k):
-            v = valuation(a, p) if a else r  # a == 0 behaves like v >= r
-            if v < r - 1:
-                return 0
-            out *= -(p ** (r - 1)) if v == r - 1 else p ** (r - 1) * (p - 1)
-        return out
-    raise DomainError(f"unknown method {method!r}")
+    g = math.gcd(k, a) if a else k
+    return sum(f * mu(k // f) for f in divisors(g))
 
 
 def kronecker_chi(D: int, ell: int) -> int:
@@ -253,40 +239,48 @@ def kronecker_chi(D: int, ell: int) -> int:
     return r - ell if r > 1 else r
 
 
-@lru_cache(maxsize=1 << 16)
-def hurwitz_sixfold(D: int) -> int:
-    """6 H(D), an integer: the reduced forms (a, b, c) of discriminant -D,
+def hurwitz_sixfolds(discriminants: Iterable[int]) -> dict[int, int]:
+    """{D: 6H(D)} for every D in ``discriminants``, in one pass over a.
+
+    6H(D) is an integer: the reduced forms (a, b, c) of discriminant -D,
     |b| <= a <= c with b >= 0 when |b| = a or a = c, each counted 6 times,
-    a(x^2 + y^2) 3 times and a(x^2 + xy + y^2) twice.  Zero unless
+    a(x^2 + y^2) 3 times and a(x^2 + xy + y^2) twice.  It is zero unless
     D = 0, 3 (mod 4).
+
+    A form with 0 <= b <= a is a root b of b^2 = -D (mod 4a) with
+    c = (D + b^2)/4a >= a, so D >= 3a^2.  For each a, the b in [0, a] are
+    grouped by b^2 mod 4a, and every D >= 3a^2 looks up its roots: one adds
+    12 (the forms (a, b, c) and (a, -b, c)), or 6 when b is 0 or a; one with
+    c = a adds 3 (b = 0), 2 (b = a) or 6 instead.  The groups of one a are
+    dropped before the next is built.  A set of k values up to M costs about
+    k sqrt(M/3) lookups and M/6 insertions: O(p) for one tally at p, whose
+    values up to 4p number O(sqrt p).
     """
-    if D <= 0:
-        raise DomainError(f"Hurwitz class number requires D >= 1, got {D}")
-    if D % 4 in (1, 2):
-        return 0
-    sixfold = 0
-    b = D % 2
-    while 3 * b * b <= D:
-        m = (b * b + D) // 4  # = ac
-        a = max(b, 1)
-        while a * a <= m:
-            if m % a == 0:
-                c = m // a
-                if a == b == c:
-                    sixfold += 2
-                elif b == 0 and a == c:
-                    sixfold += 3
-                elif b == 0 or a == b or a == c:
-                    sixfold += 6  # only (a, |b|, c) is reduced
-                else:
-                    sixfold += 12  # (a, b, c) and (a, -b, c)
-            a += 1
-        b += 2
-    return sixfold
+    six = dict.fromkeys(discriminants, 0)
+    if any(D <= 0 for D in six):
+        raise DomainError(f"Hurwitz class number requires D >= 1, got {min(six)}")
+    live = sorted((D for D in six if D % 4 in (0, 3)), reverse=True)
+    a = 1  # every D in live is >= 3 = 3a^2
+    while live:
+        modulus = 4 * a
+        roots: dict[int, list[int]] = {}
+        for b in range(a + 1):
+            roots.setdefault(b * b % modulus, []).append(b)
+        for D in live:
+            for b in roots.get(-D % modulus, ()):
+                excess = D + b * b - modulus * a  # 4a (c - a)
+                if excess > 0:
+                    six[D] += 6 if b == 0 or b == a else 12
+                elif excess == 0:
+                    six[D] += 3 if b == 0 else 2 if b == a else 6
+        a += 1
+        while live and live[-1] < 3 * a * a:
+            live.pop()
+    return six
 
 
 def hurwitz_table(M: int) -> list[int]:
-    """[6H(0), 6H(1), ..., 6H(M)] with 6H(0) = 0, as ``hurwitz_sixfold``
+    """[6H(0), 6H(1), ..., 6H(M)] with 6H(0) = 0, as ``hurwitz_sixfolds``
     gives each value, from one pass over the reduced forms (a, b, c),
     0 <= b <= a <= c, with 4ac - b^2 <= M.
 
@@ -294,9 +288,9 @@ def hurwitz_table(M: int) -> list[int]:
     4a^2 - b^2, 4a^2 - b^2 + 4a, ... as c = a, a + 1, ...; the first term
     (c = a) weighs 3 (b = 0), 2 (b = a) or 6, and the others 6 when b is
     0 or a, else 12.  The forms number about pi M^(3/2)/18: a table up to
-    M = 4p costs about 1.4 p^1.5 steps, more than the O(p) pass of one tally
-    at p (``curves._trace_sixfolds``) but far less than one pass per prime
-    of a sweep.
+    M = 4p costs about 1.4 p^1.5 steps, more than one tally's O(p) call of
+    ``hurwitz_sixfolds`` but far less than one call per prime of a sweep,
+    which would read every D up to 4 xmax.
     """
     if M < 0:
         raise DomainError(f"Hurwitz table requires M >= 0, got {M}")

@@ -1,7 +1,12 @@
 """Independent oracles the tests hold the production paths to.
 
-Each oracle counts by enumeration what ``ellstat`` computes in closed form:
+Each oracle computes by another route, mostly by enumeration, what
+``ellstat`` computes in closed form:
 
+* the Hurwitz class number 6H(D) of one D by a scan of its reduced forms
+  (``hurwitz_sixfold``) for ``arith.hurwitz_sixfolds`` and
+  ``arith.hurwitz_table``, and the Ramanujan sum from its prime-power values
+  (``ramanujan_von_sterneck``) for ``arith.ramanujan_sum``;
 * per-model point counts and group shapes (``point_count``, ``group_shape``)
   for ``curves.tally_structures``; ``group_shape`` finds the exponent by a
   deterministic scan of all points;
@@ -33,6 +38,58 @@ from ellstat.arith import divisors, factorize, phi, phi_star_mu, require_p, tau,
 from ellstat.densities import _count_trace_fixed_level
 from ellstat.errors import BudgetError, DomainError, InvariantError
 from ellstat.groups import GroupShape, _check_mn
+
+# ----------------------------------------------------------------------
+# one value at a time (oracles of arith)
+# ----------------------------------------------------------------------
+
+
+@lru_cache(maxsize=1 << 16)
+def hurwitz_sixfold(D: int) -> int:
+    """6 H(D), an integer: the reduced forms (a, b, c) of discriminant -D,
+    |b| <= a <= c with b >= 0 when |b| = a or a = c, each counted 6 times,
+    a(x^2 + y^2) 3 times and a(x^2 + xy + y^2) twice.  Zero unless
+    D = 0, 3 (mod 4).
+    """
+    if D <= 0:
+        raise DomainError(f"Hurwitz class number requires D >= 1, got {D}")
+    if D % 4 in (1, 2):
+        return 0
+    sixfold = 0
+    b = D % 2
+    while 3 * b * b <= D:
+        m = (b * b + D) // 4  # = ac
+        a = max(b, 1)
+        while a * a <= m:
+            if m % a == 0:
+                c = m // a
+                if a == b == c:
+                    sixfold += 2
+                elif b == 0 and a == c:
+                    sixfold += 3
+                elif b == 0 or a == b or a == c:
+                    sixfold += 6  # only (a, |b|, c) is reduced
+                else:
+                    sixfold += 12  # (a, b, c) and (a, -b, c)
+            a += 1
+        b += 2
+    return sixfold
+
+
+def ramanujan_von_sterneck(k: int, a: int) -> int:
+    """Ramanujan sum c_k(a) from the prime-power values
+    c_{l^r}(a) = l^r * {0, -1/l, 1-1/l}, combined multiplicatively."""
+    if k < 1:
+        raise DomainError(f"modulus must be >= 1, got {k}")
+    a %= k
+    out = 1
+    for p, r in factorize(k):
+        v = valuation(a, p) if a else r  # a == 0 behaves like v >= r
+        if v < r - 1:
+            return 0
+        out *= -(p ** (r - 1)) if v == r - 1 else p ** (r - 1) * (p - 1)
+    return out
+
 
 # ----------------------------------------------------------------------
 # per-model point counts and group shapes (oracle of curves)

@@ -22,7 +22,7 @@ from ellstat.curves import (
 from ellstat.densities import f_ell, f_ell_closed, g_sum, probability_product
 from ellstat.divisor_ap import delta_at, mean_square_experiment
 from ellstat.groups import GroupShape, stat_on_shape
-from oracles import cyclic_subgroup_count, subgroup_count, subgroup_oracle
+from oracles import cyclic_subgroup_count, ramanujan_von_sterneck, subgroup_count, subgroup_oracle
 
 _TALLY_CACHE: dict[int, object] = {}
 _TABLE_P = 2423  # criterion 5's range: one class-number table serves its sweep
@@ -235,7 +235,7 @@ def test_criterion_8_divisor_ap():
         ok &= abs(total - base) <= 1e-6 * abs(base)
     for k in range(1, 201):
         for a in range(k):
-            ok &= ramanujan_sum(k, a, "divisor") == ramanujan_sum(k, a, "von_sterneck")
+            ok &= ramanujan_sum(k, a) == ramanujan_von_sterneck(k, a)
     # ratio grid: fitted growth exponent of the max ratio against B must
     # stay below the 0.05 epsilon-slack
     decades = [10**4, 10**5, 10**6, 10**7]

@@ -13,7 +13,7 @@ from ellstat import arith
 from ellstat.arith import (
     divisors,
     factorize,
-    hurwitz_sixfold,
+    hurwitz_sixfolds,
     hurwitz_table,
     is_prime,
     kronecker_chi,
@@ -31,6 +31,7 @@ from ellstat.arith import (
     valuation,
 )
 from ellstat.errors import DomainError
+from oracles import hurwitz_sixfold, ramanujan_von_sterneck
 
 
 def test_primes_up_to_examples():
@@ -193,9 +194,8 @@ def test_ramanujan_examples():
 def test_ramanujan_dual_paths_and_exponential_oracle():
     for k in range(1, 201):
         for a in range(k):
-            d = ramanujan_sum(k, a, "divisor")
-            v = ramanujan_sum(k, a, "von_sterneck")
-            assert d == v, (k, a)
+            d = ramanujan_sum(k, a)
+            assert d == ramanujan_von_sterneck(k, a), (k, a)
             if k <= 60:
                 assert d == _ramanujan_exponential(k, a), (k, a)
 
@@ -246,11 +246,19 @@ def test_hurwitz_class_number_examples():
         15: 2, 16: Fraction(3, 2), 19: 1, 20: 2, 23: 3, 24: 2, 27: Fraction(4, 3), 28: 2,
     }
     assert {D: Fraction(hurwitz_sixfold(D), 6) for D in expected} == expected
-    for D in (1, 2, 5, 6, 9, 10, 101, 4002):
+    assert {D: Fraction(six, 6) for D, six in hurwitz_sixfolds(expected).items()} == expected
+    zeros = (1, 2, 5, 6, 9, 10, 101, 4002)
+    for D in zeros:
         assert hurwitz_sixfold(D) == 0
+    assert hurwitz_sixfolds(zeros) == dict.fromkeys(zeros, 0)
+    # a set: duplicates count once, in first-seen order; nothing gives nothing
+    assert list(hurwitz_sixfolds([28, 3, 28, 5, 3]).items()) == [(28, 12), (3, 2), (5, 0)]
+    assert hurwitz_sixfolds([]) == {}
     for D in (0, -3, -4):
         with pytest.raises(DomainError):
             hurwitz_sixfold(D)
+        with pytest.raises(DomainError):
+            hurwitz_sixfolds([7, D, 8])
 
 
 def test_hurwitz_class_number_kronecker_relation():
@@ -258,6 +266,8 @@ def test_hurwitz_class_number_kronecker_relation():
     for p in primes_up_to(2423)[2:]:
         tmax = math.isqrt(4 * p - 1)
         assert sum(Fraction(hurwitz_sixfold(4 * p - t * t), 6) for t in range(-tmax, tmax + 1)) == 2 * p
+        six = hurwitz_sixfolds(4 * p - t * t for t in range(tmax + 1))
+        assert sum(six[4 * p - t * t] for t in range(-tmax, tmax + 1)) == 12 * p, p
 
 
 def test_hurwitz_table_matches_per_value():
@@ -265,6 +275,7 @@ def test_hurwitz_table_matches_per_value():
     table = hurwitz_table(M)
     assert len(table) == M + 1 and table[0] == 0
     assert table == [0] + [hurwitz_sixfold(D) for D in range(1, M + 1)]
+    assert list(hurwitz_sixfolds(range(1, M + 1)).items()) == list(enumerate(table))[1:]
     # Kronecker-Hurwitz: sum_{t^2 < 4p} 6H(4p - t^2) = 12p
     for p in primes_up_to(2423)[2:]:
         tmax = math.isqrt(4 * p - 1)
@@ -288,5 +299,7 @@ def test_hurwitz_sixfold_is_six_h_and_counts_three_squares():
     for D in range(1, 4 * M + 1):
         six = hurwitz_sixfold(D)
         assert isinstance(six, int)
+    sixfolds = hurwitz_sixfolds(range(1, 4 * M + 1))
     for n in range(1, M + 1):
         assert r3[n] == 2 * hurwitz_sixfold(4 * n) - 4 * hurwitz_sixfold(n), n
+        assert r3[n] == 2 * sixfolds[4 * n] - 4 * sixfolds[n], n

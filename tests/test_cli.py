@@ -62,6 +62,16 @@ def test_brute_domain_error_exit_2():
     ]
 
 
+def test_brute_prime_bound(capsys):
+    # 999983 is the largest prime <= 10^6, 1000003 the smallest above
+    assert cli._BRUTE_MAX == 10**6
+    assert main(["brute", "--p", "999983", "--stats", "one"]) == 0
+    assert capsys.readouterr().out == "stat,value\none,1\n"
+    assert main(["brute", "--p", "1000003"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: p must be a prime with 5 <= p <= 1000000"), err
+
+
 def test_empty_lists_exit_2(capsys):
     # a list of only separators is an error, not a header with no rows
     for argv in (["brute", "--p", "5", "--stats", ","], ["compare", "--p", ","]):
@@ -72,7 +82,7 @@ def test_empty_lists_exit_2(capsys):
 
 def test_compare_bad_prime_prints_nothing(capsys):
     # every prime is checked before the header, so no row precedes the error
-    for plist in ("719,4", "11,5003"):
+    for plist in ("719,4", "11,1000003"):
         assert main(["compare", "--p", plist]) == 2, plist
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: p must be a prime"), plist
@@ -173,6 +183,14 @@ def test_sweep_and_fit(tmp_path):
     for i, r in enumerate(rows, 1):
         run += float(r["avg_s_corrected"])
         assert float(r["running_mean_s"]) == pytest.approx(run / i, rel=1e-10)
+
+
+def test_sweep_gnuplot_unwritable_exit_2(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    (tmp_path / "x.csv.gp").mkdir()
+    assert main(["sweep", "--xmax", "20", "--out", str(out), "--gnuplot"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}.gp: "), err
 
 
 def test_sweep_thread_determinism(tmp_path):

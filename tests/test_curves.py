@@ -7,7 +7,7 @@ import pytest
 from ellstat.arith import (
     divisors,
     factorize,
-    hurwitz_sixfold,
+    hurwitz_sixfolds,
     hurwitz_table,
     mu,
     primes_up_to,
@@ -15,7 +15,6 @@ from ellstat.arith import (
 )
 from ellstat.curves import (
     GroupShape,
-    _trace_sixfolds,
     empirical_probability,
     hasse_admissible,
     tally_structures,
@@ -24,7 +23,7 @@ from ellstat.curves import (
 )
 from ellstat.errors import DomainError
 from ellstat.groups import stat_on_shape
-from oracles import cyclic_subgroup_count, group_shape, point_count, subgroup_count
+from oracles import cyclic_subgroup_count, group_shape, hurwitz_sixfold, point_count, subgroup_count
 
 
 def test_point_count_example():
@@ -129,10 +128,13 @@ def _reference_counts(p):
 
 
 def test_trace_sixfolds_match_per_trace_scan():
+    """The sixfolds a single tally reads for n = 1: one hurwitz_sixfolds call
+    at 4p - t^2, 0 <= t <= isqrt(4p - 1), against the per-value scan."""
     for p in primes_up_to(2999)[2:]:
-        sixfolds = _trace_sixfolds(p)
-        assert len(sixfolds) == math.isqrt(4 * p - 1) + 1
-        assert sixfolds == [hurwitz_sixfold(4 * p - t * t) for t in range(len(sixfolds))], p
+        Ds = [4 * p - t * t for t in range(math.isqrt(4 * p - 1) + 1)]
+        sixfolds = hurwitz_sixfolds(Ds)
+        assert list(sixfolds) == Ds, p
+        assert list(sixfolds.values()) == [hurwitz_sixfold(D) for D in Ds], p
 
 
 def test_tally_matches_per_trace_reference():
@@ -168,7 +170,7 @@ def _assert_level_n_closed_forms(p, counts):
 
 
 def test_full_level_n_model_counts():
-    for p in [*primes_up_to(1999)[2:], 100003, 100019, 100043]:
+    for p in [*primes_up_to(1999)[2:], 100003, 100019, 100043, 999983, 1000003]:
         _assert_level_n_closed_forms(p, tally_structures(p).counts)
 
 
