@@ -1,5 +1,6 @@
 """Exact elementary arithmetic: sieves, factorization, multiplicative
-functions, Ramanujan sums, quadratic characters and Hurwitz class numbers.
+functions, the divisor function over a window, Ramanujan sums, quadratic
+characters and Hurwitz class numbers.
 
 Every function here returns exact integers; floating point never enters
 these kernels.
@@ -218,6 +219,31 @@ def mu(n: int) -> int:
 @lru_cache(maxsize=1 << 16)
 def phi_star_mu(n: int) -> int:
     return multiplicative_suite(n).phi_star_mu
+
+
+def tau_window(lo: int, hi: int) -> list[int]:
+    """[tau(lo), tau(lo + 1), ..., tau(hi)] from one segmented divisor sieve.
+
+    Each divisor pair d <= n/d of an n in the window is counted at d: every
+    d <= isqrt(hi) marks its multiples n >= d^2 twice, and n = d^2 once
+    (d = 1 marks every n, so the list starts at 2).  A window of W integers
+    costs about W log(sqrt hi) + sqrt(hi) steps: for the Hasse window of p,
+    W = 2 isqrt(4p - 1) + 1, that is O(sqrt(p) log p).  An empty window
+    (hi < lo) gives [].
+    """
+    if lo < 1:
+        raise DomainError(f"divisor sieve needs lo >= 1, got {lo}")
+    out = [2] * max(hi - lo + 1, 0)
+    if lo == 1 and out:
+        out[0] = 1  # the square 1 = 1 * 1
+    for d in range(2, math.isqrt(max(hi, 0)) + 1):
+        square = d * d
+        start = max(square, -(-lo // d) * d)
+        for i in range(start - lo, hi - lo + 1, d):
+            out[i] += 2
+        if square >= lo:
+            out[square - lo] -= 1
+    return out
 
 
 def ramanujan_sum(k: int, a: int) -> int:

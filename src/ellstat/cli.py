@@ -137,6 +137,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
                 )
     except OSError as exc:
         raise DomainError(f"cannot write {out}: {exc}") from exc
+    wrote_csv = f"wrote {out} ({len(rows)} rows)"
     if args.gnuplot:
         script = out + ".gp"
         try:
@@ -147,9 +148,10 @@ def cmd_sweep(args: argparse.Namespace) -> None:
                     "1.053*x title \"1.053 log x\"\n"
                 )
         except OSError as exc:
+            print(wrote_csv)  # the CSV is complete on disk
             raise DomainError(f"cannot write {script}: {exc}") from exc
         print(f"wrote {script}")
-    print(f"wrote {out} ({len(rows)} rows)")
+    print(wrote_csv)
 
 
 # ----------------------------------------------------------------------
@@ -335,6 +337,13 @@ class _UsageError(Exception):
         self.usage = usage
 
 
+class _DefaultsFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Appends each option's default to its help, except a required one's."""
+
+    def _get_help_string(self, action):
+        return action.help if action.required else super()._get_help_string(action)
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises ``_UsageError`` instead of exiting, matches options only whole,
     reads any negative number after an option as its value, and reports a
@@ -344,7 +353,7 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         kwargs.setdefault("allow_abbrev", False)
-        kwargs.setdefault("formatter_class", argparse.ArgumentDefaultsHelpFormatter)
+        kwargs.setdefault("formatter_class", _DefaultsFormatter)
         super().__init__(*args, **kwargs)
         # argparse reads only -7 and -.5 as numbers; -1e5 or -inf would be an option
         self._negative_number_matcher = self._NEGATIVE_NUMBER

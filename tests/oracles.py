@@ -9,7 +9,11 @@ Each oracle computes by another route, mostly by enumeration, what
   (``ramanujan_von_sterneck``) for ``arith.ramanujan_sum``;
 * per-model point counts and group shapes (``point_count``, ``group_shape``)
   for ``curves.tally_structures``; ``group_shape`` finds the exponent by a
-  deterministic scan of all points;
+  deterministic scan of all points.  ``hasse_admissible`` tests one order
+  against t^2 < 4p, for ``curves.hasse_window``;
+* the averages of a tally summed shape by shape over ``StructureTally.counts``
+  (``averages_from_counts``), for ``curves.weighted_averages``, which reads
+  tau(N) for the cyclic shapes from one divisor sieve;
 * matrix enumerations over Z/l^R (``count_trace_fixed_enum``,
   ``count_bucket_enum``) and the bucket count summed from fixed-trace counts
   (``_bucket_count_level``, normalized by ``_norm3``) for the root counts of
@@ -29,15 +33,18 @@ They are slow by design and guarded by ``BudgetError`` where they grow fast.
 from __future__ import annotations
 
 import math
+import operator
+from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from ellstat.arith import divisors, factorize, phi, phi_star_mu, require_p, tau, valuation
+from ellstat.curves import StructureTally, TallyAverages
 from ellstat.densities import _count_trace_fixed_level
 from ellstat.errors import BudgetError, DomainError, InvariantError
-from ellstat.groups import GroupShape, _check_mn
+from ellstat.groups import GroupShape, _check_mn, shape_statistics
 
 # ----------------------------------------------------------------------
 # one value at a time (oracles of arith)
@@ -207,6 +214,24 @@ def group_shape(p: int, a: int, b: int, N: int | None = None) -> GroupShape:
             f"p={p}, a={a}, b={b}"
         )
     return GroupShape(d1, N // (d1 * d1))
+
+
+def hasse_admissible(p: int, N: int) -> bool:
+    """Whether N lies in the Hasse interval [(sqrt(p)-1)^2, (sqrt(p)+1)^2]."""
+    t = p + 1 - N
+    return t * t < 4 * p
+
+
+def averages_from_counts(tally: StructureTally) -> TallyAverages:
+    """Every weighted average of a tally as sum count * shape_statistics(shape)
+    over ``tally.counts``, one shape at a time."""
+    counts = tally.counts.values()
+    columns = zip(*map(shape_statistics, tally.counts))
+    mass = tally.p * (tally.p - 1)
+    return TallyAverages(
+        *(Fraction(sum(map(operator.mul, counts, column)), mass) for column in columns),
+        Fraction(tally.total(), mass),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -15,14 +15,19 @@ from ellstat.analytic import K_FACTORS, cyclicity_probability, main_term
 from ellstat.arith import hurwitz_table, primes_up_to, ramanujan_sum, valuation
 from ellstat.curves import (
     empirical_probability,
-    hasse_admissible,
     tally_structures,
     weighted_average_from_tally,
 )
 from ellstat.densities import f_ell, f_ell_closed, g_sum, probability_product
 from ellstat.divisor_ap import delta_at, mean_square_experiment
 from ellstat.groups import GroupShape, stat_on_shape
-from oracles import cyclic_subgroup_count, ramanujan_von_sterneck, subgroup_count, subgroup_oracle
+from oracles import (
+    cyclic_subgroup_count,
+    hasse_admissible,
+    ramanujan_von_sterneck,
+    subgroup_count,
+    subgroup_oracle,
+)
 
 _TALLY_CACHE: dict[int, object] = {}
 _TABLE_P = 2423  # criterion 5's range: one class-number table serves its sweep

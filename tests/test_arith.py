@@ -28,6 +28,7 @@ from ellstat.arith import (
     require_p,
     sigma,
     tau,
+    tau_window,
     valuation,
 )
 from ellstat.errors import DomainError
@@ -238,6 +239,42 @@ def test_tau_sigma_multiplicativity(m, n):
         assert tau(m * n) == tau(m) * tau(n)
         assert sigma(m * n) == sigma(m) * sigma(n)
         assert phi_star_mu(m * n) == phi_star_mu(m) * phi_star_mu(n)
+
+
+def _tau_list(lo, hi):
+    return [tau(n) for n in range(lo, hi + 1)]
+
+
+def test_tau_window_matches_tau():
+    # windows from lo = 1, and every window of up to 40 integers below 130
+    for hi in range(0, 200):
+        assert tau_window(1, hi) == _tau_list(1, hi), hi
+    for lo in range(1, 130):
+        for hi in range(lo - 1, lo + 40):
+            assert tau_window(lo, hi) == _tau_list(lo, hi), (lo, hi)
+
+
+def test_tau_window_square_ends_and_single_values():
+    for r in (1, 2, 3, 10, 31, 100, 999):
+        sq = r * r
+        assert tau_window(sq, sq + 2 * r + 1) == _tau_list(sq, (r + 1) ** 2)  # both ends squares
+        assert tau_window(sq - r + 1, sq) == _tau_list(sq - r + 1, sq)  # ends at a square
+        assert tau_window(sq, sq) == [tau(sq)]
+    for n in (1, 2, 720720, 999983, 10**6, 2**20):
+        assert tau_window(n, n) == [tau(n)]
+
+
+def test_tau_window_hasse_windows():
+    for p in (5, 7, 1009, 999983):
+        tmax = math.isqrt(4 * p - 1)
+        lo, hi = p + 1 - tmax, p + 1 + tmax
+        assert tau_window(lo, hi) == _tau_list(lo, hi), p
+
+
+def test_tau_window_rejects_lo_below_one():
+    for lo in (0, -1, -100):
+        with pytest.raises(DomainError):
+            tau_window(lo, 10)
 
 
 def test_hurwitz_class_number_examples():

@@ -155,6 +155,15 @@ def test_usage_contract(argv, code, capsys):
         assert "usage" in out.lower() and err == "", (out, err)
 
 
+@pytest.mark.parametrize("command", ["brute", "compare"])
+def test_help_shows_no_default_for_required_p(command, capsys):
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "(default: None)" not in out, out
+    assert "a prime from 5 to 10^6" in out or "comma list of primes" in out
+    assert "(default: s)" in out  # optional options keep their defaults
+
+
 def test_import_cli_loads_no_click():
     code = "import sys, ellstat.cli; print('click' in sys.modules)"
     proc = subprocess.run(
@@ -189,8 +198,10 @@ def test_sweep_gnuplot_unwritable_exit_2(tmp_path, capsys):
     out = tmp_path / "x.csv"
     (tmp_path / "x.csv.gp").mkdir()
     assert main(["sweep", "--xmax", "20", "--out", str(out), "--gnuplot"]) == 2
-    err = capsys.readouterr().err
+    stdout, err = capsys.readouterr()
     assert err.startswith(f"error: cannot write {out}.gp: "), err
+    assert stdout == f"wrote {out} (6 rows)\n"  # the CSV is complete
+    assert len(out.read_text().splitlines()) == 7
 
 
 def test_sweep_thread_determinism(tmp_path):

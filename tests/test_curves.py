@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -16,14 +17,22 @@ from ellstat.arith import (
 from ellstat.curves import (
     GroupShape,
     empirical_probability,
-    hasse_admissible,
+    hasse_window,
     tally_structures,
     weighted_average_from_tally,
     weighted_averages,
 )
-from ellstat.errors import DomainError
+from ellstat.errors import DomainError, InvariantError
 from ellstat.groups import stat_on_shape
-from oracles import cyclic_subgroup_count, group_shape, hurwitz_sixfold, point_count, subgroup_count
+from oracles import (
+    averages_from_counts,
+    cyclic_subgroup_count,
+    group_shape,
+    hasse_admissible,
+    hurwitz_sixfold,
+    point_count,
+    subgroup_count,
+)
 
 
 def test_point_count_example():
@@ -189,6 +198,53 @@ def test_tally_from_hurwitz_table_matches_table_free_tally():
     assert tally_structures(5, hurwitz_table(20)).counts == tally_structures(5).counts
 
 
+def test_hasse_window_matches_hasse_admissible():
+    for p in primes_up_to(1500)[2:]:
+        lo, hi = hasse_window(p)
+        assert [N for N in range(hi + 3) if hasse_admissible(p, N)] == list(range(lo, hi + 1)), p
+
+
+def test_tally_per_trace_form():
+    """Ascending traces, cyclic traces apart, and counts built on first read."""
+    p = 73
+    tally = tally_structures(p)
+    assert "counts" not in vars(tally)
+    traces = [p + 1 - N for N in tally.cyclic_N] + [t for t, _, _ in tally.split]
+    assert sorted(traces) == list(range(-17, 18))
+    assert tally.cyclic_N == sorted(tally.cyclic_N, reverse=True)
+    assert [t for t, _, _ in tally.split] == sorted(t for t, _, _ in tally.split)
+    for t, N, entries in tally.split:
+        assert N == p + 1 - t and [d1 for d1, _ in entries] == sorted(d1 for d1, _ in entries)
+    assert tally.counts is tally.counts
+    assert sum(tally.counts.values()) == tally.total() == p * p - p
+
+
+def test_tampered_tally_raises():
+    p = 1009
+    tally = tally_structures(p)
+    lo, hi = hasse_window(p)
+    i, (t, N, entries) = next((i, e) for i, e in enumerate(tally.split) if len(e[2]) > 1)
+    split = list(tally.split)
+    split[i] = (t, N, [entries[0], (5, entries[1][1]), *entries[2:]])  # 5 does not divide 1008
+    with pytest.raises(InvariantError, match="inadmissible d1=5"):
+        dataclasses.replace(tally, split=split)
+    for bad_N in (lo - 1, hi + 1):
+        cyclic_N = list(tally.cyclic_N)
+        cyclic_N[len(cyclic_N) // 2] = bad_N
+        with pytest.raises(InvariantError, match="outside"):
+            dataclasses.replace(tally, cyclic_N=cyclic_N)
+    split = list(tally.split)
+    split[0] = (split[0][0] - 1, split[0][1], split[0][2])  # N no longer p + 1 - t
+    with pytest.raises(InvariantError, match="is not p \\+ 1 - t"):
+        dataclasses.replace(tally, split=split)
+    for delta in (1, -1):
+        models = list(tally.cyclic_models)
+        models[0] += delta
+        with pytest.raises(InvariantError, match="tally mass"):
+            dataclasses.replace(tally, cyclic_models=models)
+    assert dataclasses.replace(tally).counts == tally.counts
+
+
 def test_tally_examples():
     t5 = tally_structures(5)
     assert t5.total() == 20
@@ -275,6 +331,18 @@ def test_weighted_averages_match_per_shape_convolution():
         expected["tau_N"] = Fraction(sum(c * tau(sh.order) for sh, c in t.counts.items()), mass)
         expected["one"] = Fraction(1)
         assert weighted_averages(t)._asdict() == expected, p
+
+
+def test_weighted_averages_match_averages_from_counts():
+    """Schoof-count averages with tau(N) from the sieve against the per-shape
+    sum over counts, with and without the sweep's table."""
+    table = hurwitz_table(4 * 2999)
+    for p in primes_up_to(2999)[2:]:
+        for tally in (tally_structures(p), tally_structures(p, table)):
+            assert weighted_averages(tally) == averages_from_counts(tally), p
+    for p in (100003, 400009, 999983):
+        tally = tally_structures(p)
+        assert weighted_averages(tally) == averages_from_counts(tally), p
 
 
 def test_supersingular_trend():
