@@ -229,7 +229,9 @@ def tau_window(lo: int, hi: int) -> list[int]:
     (d = 1 marks every n, so the list starts at 2).  A window of W integers
     costs about W log(sqrt hi) + sqrt(hi) steps: for the Hasse window of p,
     W = 2 isqrt(4p - 1) + 1, that is O(sqrt(p) log p).  An empty window
-    (hi < lo) gives [].
+    (hi < lo) gives [].  It is the one divisor sieve of the package: it
+    serves ``curves.weighted_averages`` and the window sums of
+    ``divisor_ap``, which checks its own budgets first.
     """
     if lo < 1:
         raise DomainError(f"divisor sieve needs lo >= 1, got {lo}")

@@ -85,8 +85,9 @@ class StructureTally:
             for d1, _ in entries:
                 if (p - 1) % d1 or N % (d1 * d1):
                     raise InvariantError(f"inadmissible d1={d1} for N={N} at p={p}")
-        if self.total() != p * p - p:
-            raise InvariantError(f"tally mass {self.total()} != p^2 - p = {p * p - p} at p={p}")
+        mass = self.total()
+        if mass != p * p - p:
+            raise InvariantError(f"tally mass {mass} != p^2 - p = {p * p - p} at p={p}")
 
     @cached_property
     def counts(self) -> dict[GroupShape, int]:
@@ -226,7 +227,7 @@ def weighted_averages(tally: StructureTally) -> TallyAverages:
     mass = p * (p - 1)
     return TallyAverages(
         *(Fraction(tau_sum + sum(map(operator.mul, models, column)), mass) for column in columns),
-        Fraction(tally.total(), mass),
+        Fraction(1),  # construction checked that the tally's mass is p(p-1)
     )
 
 

@@ -4,8 +4,9 @@ mean-square experiment against its two-branch envelope.
 
 Exact sums come from two independent routes: a hyperbola-method count with
 the congruence folded into per-divisor progression counts (O(sqrt(X)),
-used for cumulative sums), and a segmented divisor sieve over a window
-(used for window sums and for the residue-resolved mean-square statistic).
+used for cumulative sums), and ``arith.tau_window``'s segmented divisor
+sieve over a window (used for window sums and for the residue-resolved
+mean-square statistic).
 """
 
 from __future__ import annotations
@@ -13,16 +14,20 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
+# Nothing here computes with numpy; perfbench/worker.py stamps each run with
+# sys.modules["numpy"].__version__, so the import stays until that changes.
+import numpy  # noqa: F401
 
-from .arith import divisors, ramanujan_sum
+from .arith import divisors, ramanujan_sum, tau_window
 from .errors import BudgetError, DomainError
 
 EULER_GAMMA = 0.5772156649015329
 
 _SIEVE_BUDGET = 10**9
-_WINDOW_BUDGET = 10**7  # tau_window_values holds B - A int64 entries (80 MB)
+# tau_window holds B - A Python ints: 6-9 s and 105-117 MB at 10^7
+_WINDOW_BUDGET = 10**7
 _HYPERBOLA_BUDGET = 10**14  # tau_sum_upto takes isqrt(X) <= 10^7 steps
+_MODULUS_BUDGET = 10**14  # dirichlet_main factors q: under 10 ms at 9999973 * 9999991
 
 
 class MeanSquareResult(NamedTuple):
@@ -38,6 +43,21 @@ def _require_finite(**values: float) -> None:
             raise DomainError(f"{name} must be finite, got {value}")
 
 
+def _check_modulus(q: int) -> None:
+    if q < 1:
+        raise DomainError(f"modulus must be >= 1, got {q}")
+    if q > _MODULUS_BUDGET:
+        raise BudgetError(f"modulus budget is q <= {_MODULUS_BUDGET}, got {q}")
+
+
+def _check_window(A: int, B: int) -> None:
+    """The budgets of a sieve over (A, B], checked before anything is sieved."""
+    if B > _SIEVE_BUDGET:
+        raise BudgetError(f"sieve budget is B <= {_SIEVE_BUDGET}, got {B}")
+    if B - A > _WINDOW_BUDGET:
+        raise BudgetError(f"window budget is B - A <= {_WINDOW_BUDGET}, got {B - A}")
+
+
 def _count_ap(lo: int, hi: int, r: int, mod: int) -> int:
     """#{n : lo < n <= hi, n == r (mod mod)} for any integers lo <= hi."""
     return (hi - r) // mod - (lo - r) // mod
@@ -50,8 +70,7 @@ def tau_sum_upto(X: float, a: int = 0, q: int = 1) -> int:
     variable runs through one arithmetic progression, counted in O(1).
     X above ``_HYPERBOLA_BUDGET`` raises ``BudgetError``.
     """
-    if q < 1:
-        raise DomainError(f"modulus must be >= 1, got {q}")
+    _check_modulus(q)
     _require_finite(X=X)
     if X > _HYPERBOLA_BUDGET:
         raise BudgetError(f"hyperbola budget is X <= {_HYPERBOLA_BUDGET}, got {X}")
@@ -73,42 +92,20 @@ def tau_sum_upto(X: float, a: int = 0, q: int = 1) -> int:
     return total
 
 
-def tau_window_values(A: int, B: int) -> np.ndarray:
-    """tau(n) for n in (A, B] via a segmented divisor sieve.
-
-    Divisors d <= sqrt(B) are paired with cofactors m >= d, adding 2 per
-    pair and 1 on the diagonal n = d^2.  B above ``_SIEVE_BUDGET`` or a
-    window B - A above ``_WINDOW_BUDGET`` raises ``BudgetError`` before
-    anything is allocated.
-    """
-    if B > _SIEVE_BUDGET:
-        raise BudgetError(f"sieve budget is B <= {_SIEVE_BUDGET}, got {B}")
-    if B - A > _WINDOW_BUDGET:
-        raise BudgetError(f"window budget is B - A <= {_WINDOW_BUDGET}, got {B - A}")
-    if B <= A:
-        return np.zeros(0, dtype=np.int64)
-    out = np.zeros(B - A, dtype=np.int64)
-    for d in range(1, math.isqrt(B) + 1):
-        first = max(A + 1, d * d)
-        first += (-first) % d
-        if first <= B:
-            out[first - A - 1 :: d] += 2
-        if A < d * d <= B:
-            out[d * d - A - 1] -= 1
-    return out
-
-
 def tau_sum_window(A: float, B: float, a: int = 0, q: int = 1) -> int:
-    """sum of tau(n) over A < n <= B with n == a (mod q), exactly (sieve)."""
-    if q < 1:
-        raise DomainError(f"modulus must be >= 1, got {q}")
+    """sum of tau(n) over A < n <= B with n == a (mod q), exactly (sieve).
+
+    B above ``_SIEVE_BUDGET`` or a window B - A above ``_WINDOW_BUDGET``
+    raises ``BudgetError``; n <= 0 adds nothing.
+    """
+    _check_modulus(q)
     _require_finite(A=A, B=B)
     Ai, Bi = math.floor(A), math.floor(B)
     if Bi <= Ai:
         return 0
-    vals = tau_window_values(Ai, Bi)
-    n = np.arange(Ai + 1, Bi + 1, dtype=np.int64)
-    return int(vals[n % q == a % q].sum())
+    _check_window(Ai, Bi)
+    Ai = max(Ai, 0)
+    return sum(tau_window(Ai + 1, Bi)[(a - Ai - 1) % q :: q])
 
 
 def dirichlet_main(X: float, a: int = 0, q: int = 1) -> float:
@@ -118,8 +115,7 @@ def dirichlet_main(X: float, a: int = 0, q: int = 1) -> float:
 
     with c_k the Ramanujan sum.
     """
-    if q < 1:
-        raise DomainError(f"modulus must be >= 1, got {q}")
+    _check_modulus(q)
     if X < 1:
         return 0.0
     acc = 0.0
@@ -142,15 +138,14 @@ def delta_window(A: float, B: float, a: int = 0, q: int = 1) -> float:
     return delta_at(B, a, q) - delta_at(A, a, q)
 
 
-def _window_deltas(A: int, B: int, q: int) -> np.ndarray:
-    """Delta(A, B, a, q) for every residue a, from one sieve pass."""
-    vals = tau_window_values(A, B)
-    n = np.arange(A + 1, B + 1, dtype=np.int64)
-    sums = np.bincount(n % q, weights=vals.astype(np.float64), minlength=q)
-    mains = np.array(
-        [dirichlet_main(B, a, q) - dirichlet_main(A, a, q) for a in range(q)]
-    )
-    return sums - mains
+def _window_deltas(A: int, B: int, q: int) -> list[float]:
+    """Delta(A, B, a, q) for every residue a, from one sieve pass; 1 <= A < B."""
+    _check_window(A, B)
+    vals = tau_window(A + 1, B)
+    return [
+        sum(vals[(a - A - 1) % q :: q]) - (dirichlet_main(B, a, q) - dirichlet_main(A, a, q))
+        for a in range(q)
+    ]
 
 
 def mean_square_experiment(A: float, B: float, q: int) -> MeanSquareResult:
@@ -175,7 +170,7 @@ def mean_square_experiment(A: float, B: float, q: int) -> MeanSquareResult:
     if d * d > Ai * Bi:
         raise DomainError("window longer than sqrt(A*B)")
     deltas = _window_deltas(Ai, Bi, q)
-    lhs = float(np.mean(deltas**2))
+    lhs = math.fsum(d * d for d in deltas) / q
     short = math.sqrt(d) / q * (Bi**3 / Ai) ** 0.25
     long_ = d ** (4 / 3) / q ** (4 / 3) * (Bi / Ai) ** (1 / 3)
     if d * d < Bi:

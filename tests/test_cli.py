@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 import os
 import subprocess
@@ -426,10 +427,37 @@ def test_divap_delta_beyond_budget_exit_2(capsys):
 
 
 def test_divap_mean_square_window_budget_exit_2(capsys):
-    # a window of 6.18e8 passes every hypothesis check; the sieve would need
-    # several int64 arrays of that length, so the budget stops it first
+    # a window of 6.18e8 passes every hypothesis check; the sieve would hold
+    # a list of that length, so the budget stops it first
     assert main(["divap", "mean-square", "--A", "382000000", "--B", "1000000000", "--q", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: window budget")
+
+
+def test_divap_delta_modulus_budget(capsys):
+    # two 16-digit primes: factoring q for the main term would not finish
+    assert main(["divap", "delta", "--X", "1000", "--q", "1000000000000128000000000003367"]) == 2
+    assert capsys.readouterr().err.startswith("error: modulus budget")
+    assert main(["divap", "delta", "--X", "1000", "--q", "100000000000000"]) == 0
+    assert capsys.readouterr().out.startswith("delta,")
+
+
+def _stdout(capsys, *args):
+    assert main(list(args)) == 0
+    return capsys.readouterr().out
+
+
+def test_divap_golden_outputs(capsys):
+    # recorded with the numpy sieve that arith.tau_window replaced
+    grid = _stdout(capsys, "divap", "grid")
+    assert hashlib.sha256(grid.encode()).hexdigest() == (
+        "90cf359c662da49a70cf50960e3cb40080cdfefe845ae35b768855c9b2ea9b35"
+    )
+    assert _stdout(capsys, "divap", "mean-square", "--A", "1000000", "--B", "1000500", "--q", "16") == (
+        "lhs,529.39745324\nenvelope,1398.06653162\nratio,0.378663991496\n"
+    )
+    assert _stdout(capsys, "divap", "mean-square", "--A", "10000000", "--B", "10100000", "--q", "25") == (
+        "lhs,5742.8130179\nenvelope,63706.9939343\nratio,0.0901441531493\n"
+    )
 
 
 def test_main_callable_directly(tmp_path, capsys):

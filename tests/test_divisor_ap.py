@@ -11,7 +11,6 @@ from ellstat.divisor_ap import (
     mean_square_experiment,
     tau_sum_upto,
     tau_sum_window,
-    tau_window_values,
 )
 from ellstat.errors import BudgetError, DomainError
 
@@ -27,12 +26,17 @@ def test_tau_sum_examples():
     assert tau_sum_window(0, 10, 0, 2) == 17
     assert tau_sum_window(7, 7) == 0
     assert tau_sum_window(10, 3) == 0
+    # n <= 0 adds nothing, as in the cumulative sum
+    assert tau_sum_window(-5, 10) == 27
+    assert tau_sum_window(-5, 10, 1, 3) == 10 == tau_sum_upto(10, 1, 3)
+    assert tau_sum_window(-7, 20, 2, 4) == 20 == tau_sum_upto(20, 2, 4)
+    assert tau_sum_window(-5.5, 3.2) == 5
+    assert tau_sum_window(-9, -2, 1, 2) == 0
 
 
 def test_sieve_matches_naive():
-    vals = tau_window_values(0, 2000)
     for n in range(1, 2001):
-        assert vals[n - 1] == _tau_naive(n), n
+        assert tau_sum_window(n - 1, n) == _tau_naive(n), n
 
 
 def test_sieve_matches_hyperbola_on_windows():
@@ -116,24 +120,69 @@ def test_mean_square_domain_errors():
 
 
 def test_sieve_budget():
-    with pytest.raises(BudgetError):
-        tau_window_values(2 * 10**9, 2 * 10**9 + 10)
+    assert divisor_ap._SIEVE_BUDGET == 10**9
+    with pytest.raises(BudgetError, match="sieve budget"):
+        tau_sum_window(2 * 10**9, 2 * 10**9 + 10)
+    with pytest.raises(BudgetError, match="sieve budget"):
+        mean_square_experiment(2 * 10**9, 2 * 10**9 + 10, 1)
 
 
 def test_window_budget(monkeypatch):
     assert divisor_ap._WINDOW_BUDGET == 10**7
-    with pytest.raises(BudgetError):
-        tau_window_values(10**8, 10**8 + 10**7 + 1)
+    with pytest.raises(BudgetError, match="window budget"):
+        tau_sum_window(10**8, 10**8 + 10**7 + 1)
+    with pytest.raises(BudgetError, match="window budget"):
+        mean_square_experiment(10**8, 10**8 + 10**7 + 1, 1)
     # both sides of the bound, at a budget small enough to evaluate
     monkeypatch.setattr(divisor_ap, "_WINDOW_BUDGET", 100)
-    assert len(tau_window_values(1000, 1100)) == 100
+    assert tau_sum_window(1000, 1100) == tau_sum_upto(1100) - tau_sum_upto(1000)
+    assert mean_square_experiment(1000, 1100, 1).branch == "long"
+    # the window counts from A, not from the clamp at 0
+    assert tau_sum_window(-1, 99) == tau_sum_upto(99)
+    with pytest.raises(BudgetError):
+        tau_sum_window(-1, 100)
     for A, B, q in ((1000, 1101, 1), (10**4, 10**4 + 101, 2)):
-        with pytest.raises(BudgetError):
-            tau_window_values(A, B)
         with pytest.raises(BudgetError):
             tau_sum_window(A, B, 0, q)
         with pytest.raises(BudgetError):
             mean_square_experiment(A, B, q)
+
+
+def test_modulus_budget():
+    assert divisor_ap._MODULUS_BUDGET == 10**14
+    for f in (tau_sum_upto, tau_sum_window, dirichlet_main):
+        args = (0, 10) if f is tau_sum_window else (10,)
+        with pytest.raises(DomainError, match="modulus must be"):
+            f(*args, 0, 0)
+        with pytest.raises(BudgetError, match="modulus budget"):
+            f(*args, 1, 10**14 + 1)
+    # at the bound: 10^14 = 2^14 5^14, and only n == 0 (mod q) can carry mass
+    assert tau_sum_upto(10, 0, 10**14) == 0
+    assert tau_sum_window(0, 10, 3, 10**14) == 2
+    assert dirichlet_main(10, 1, 10**14) > 0
+
+
+def test_no_numpy_computation_in_src():
+    # divisor_ap keeps a bare ``import numpy`` (see its comment); no module
+    # under src/ellstat reads any numpy attribute
+    import ast
+    import pathlib
+
+    for path in pathlib.Path(divisor_ap.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        names = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+            if (getattr(node, "module", None) or alias.name).split(".")[0] == "numpy"
+        }
+        used = [
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in names | {"numpy", "np"}
+        ]
+        assert used == [], path.name
 
 
 def test_hyperbola_budget(monkeypatch):
