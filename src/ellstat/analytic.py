@@ -38,9 +38,9 @@ sum are the constants zeta(2)zeta(3)/zeta(6) and ``_GENERIC_LOG_SUM``,
 corrected by the finitely many l | p(p-1).  Per-d1 components split each
 E_l by x = v_l(d1).
 
-``normalization="half"`` is the archimedean mass-1 value, matching the
-density module; "paper" doubles it.  Which k_factor wins against brute
-force is adjudicated by acceptance criterion 7.
+Every value is at archimedean mass 1, as ``densities.f_infty`` is; the CLI
+prints the printed form's mass-2 value as twice it.  Which k_factor wins
+against brute force is adjudicated by acceptance criterion 7.
 
 The Euler factors of the printed form come from the same law:
 E_l = l^(2v) sum_{n >= 2v} pi_l(v, n) with v = v_l(d1), which is 1 off
@@ -76,7 +76,7 @@ from .arith import (
     valuation,
 )
 # level_congruence_count is unused here; perfbench's span self-test asserts this binding.
-from .densities import DEFAULT_NORMALIZATION, frobenius_law, level_congruence_count  # noqa: F401
+from .densities import frobenius_law, level_congruence_count  # noqa: F401
 from .errors import DomainError, InvariantError
 
 EULER_GAMMA = 0.5772156649015329
@@ -148,33 +148,20 @@ def euler_product(p: int, d1: int) -> Fraction:
     return out
 
 
-def main_term(
-    p: int,
-    stat: str = "s",
-    k_factor: str = DEFAULT_K_FACTOR,
-    normalization: str = DEFAULT_NORMALIZATION,
-) -> float:
+def main_term(p: int, stat: str = "s", k_factor: str = DEFAULT_K_FACTOR) -> float:
     """Main-term value of the weighted average of stat over Ell(p)."""
-    return sum(main_term_components(p, stat, k_factor, normalization).values())
+    return sum(main_term_components(p, stat, k_factor).values())
 
 
-def main_term_components(
-    p: int,
-    stat: str = "s",
-    k_factor: str = DEFAULT_K_FACTOR,
-    normalization: str = DEFAULT_NORMALIZATION,
-) -> dict[int, float]:
+def main_term_components(p: int, stat: str = "s", k_factor: str = DEFAULT_K_FACTOR) -> dict[int, float]:
     """Per-d1 contributions to the main term (keys are the divisors of p-1)."""
     require_p(p)
     if stat not in ("s", "c"):
         raise DomainError(f"stat must be 's' or 'c', got {stat!r}")
     if k_factor not in K_FACTORS:
         raise DomainError(f"unknown k_factor {k_factor!r}")
-    if normalization not in ("paper", "half"):
-        raise DomainError(f"unknown normalization {normalization!r}")
     if k_factor == "C_local":
-        half = _local_components(p, stat)
-        return half if normalization == "half" else {d1: 2 * v for d1, v in half.items()}
+        return _local_components(p, stat)
     fac = factorize(p - 1)
     primes = [ell for ell, _ in fac]
     weight = phi_prime_power if stat == "s" else phi_star_mu_prime_power
@@ -203,8 +190,7 @@ def main_term_components(
                     ksum += (math.log((p + 1) / (u * k * k)) + 2 * EULER_GAMMA) * phik / k / adj
             ksum += math.log((p + 1) / u) + 2 * EULER_GAMMA
             inner += wu * math.prod(v - bu + 1 for v, bu in zip(a, b)) * ksum
-        val = float(math.prod(factors)) * inner / (d1 * d1)
-        out[d1] = val / 2 if normalization == "half" else val
+        out[d1] = float(math.prod(factors)) * inner / (d1 * d1) / 2
     return out
 
 
@@ -277,12 +263,7 @@ class SlopeEstimate:
     stat: str
 
 
-def estimate_average_slope(
-    x_max: int,
-    m_max: int,
-    stat: str = "s",
-    normalization: str = DEFAULT_NORMALIZATION,
-) -> SlopeEstimate:
+def estimate_average_slope(x_max: int, m_max: int, stat: str = "s") -> SlopeEstimate:
     """Truncated evaluation of the constant governing the prime-averaged
     growth (average of the weighted subgroup count over p <= x grows like
     C * log x).
@@ -300,8 +281,6 @@ def estimate_average_slope(
     """
     if stat not in ("s", "c"):
         raise DomainError(f"stat must be 's' or 'c', got {stat!r}")
-    if normalization not in ("paper", "half"):
-        raise DomainError(f"unknown normalization {normalization!r}")
     total = _GENERIC_PRODUCT
     for ell in primes_up_to(x_max):
         generic = 1 + 1 / (ell * (ell - 1))
@@ -312,6 +291,4 @@ def estimate_average_slope(
             top = float(_local_moments(ell, e, e, stat)[0])
             mean += ell**-e * (below + top) / generic
         total *= mean
-    if normalization == "paper":
-        total *= 2
     return SlopeEstimate(total, x_max, m_max, stat)

@@ -24,6 +24,12 @@ are bit-identical across runs.  Tallies are exact and deterministic; the
 --seed option that brute, sweep and compare accept is ignored, and so is
 sweep's --threads.
 
+The library evaluates every density product and main term at archimedean
+mass 1, as criterion 6 adjudicated.  The paper's printed semicircle factor
+has mass 2, and this module alone prints that form, as twice the mass-1
+value: ``prob --norm paper`` and compare's ``*_paper`` columns.  Doubling
+is exact in floating point.
+
 sweep builds one Hurwitz class-number table up to 4 xmax
 (``arith.hurwitz_table``) and every tally of the sweep reads 6H from it;
 xmax above 10^6 exits 2.  brute and compare tally one prime at a time
@@ -40,6 +46,7 @@ import math
 import os
 import re
 import sys
+from fractions import Fraction
 
 from . import analytic, curves, densities, divisor_ap
 from .arith import hurwitz_table, is_prime, primes_up_to
@@ -218,9 +225,9 @@ def cmd_compare(args: argparse.Namespace) -> None:
         }
         mts = {}
         for k in ("A_unit", "B_inverse"):
-            # "half" halves every component, exactly in floating point
-            mts[(k, "paper")] = analytic.main_term(p, stat, k_factor=k, normalization="paper")
-            mts[(k, "half")] = mts[(k, "paper")] / 2
+            # the printed archimedean factor has mass 2; doubling is exact in floating point
+            mts[(k, "half")] = analytic.main_term(p, stat, k_factor=k)
+            mts[(k, "paper")] = 2 * mts[(k, "half")]
         row = [str(p), _fmt(brute["corr"]), _fmt(brute["printed"])]
         row += [_fmt(mts[(k, n)]) for k in ("A_unit", "B_inverse") for n in ("paper", "half")]
         for k in ("A_unit", "B_inverse"):
@@ -249,8 +256,6 @@ def cmd_g_sum(args: argparse.Namespace) -> None:
     print(f"value,{val}")
     print(f"float,{_fmt(val)}")
     if v == 0:
-        from fractions import Fraction
-
         delta = 1 if (p - 1) % ell == 0 else 0
         pred = -Fraction(delta, ell * (ell * ell - 1)) + Fraction(1, ell ** (R + 1))
         print(f"predicted,{pred}")
@@ -262,8 +267,9 @@ def cmd_g_sum(args: argparse.Namespace) -> None:
 
 def cmd_prob(args: argparse.Namespace) -> None:
     """Truncated local-density product for P(E(F_p) iso Z/d1 x Z/d1*d2)."""
-    est = densities.probability_product(args.p, GroupShape(args.d1, args.d2), args.lmax, args.norm)
-    print(f"value,{_fmt(est.value)}")
+    est = densities.probability_product(args.p, GroupShape(args.d1, args.d2), args.lmax)
+    value = 2 * est.value if args.norm == "paper" else est.value
+    print(f"value,{_fmt(value)}")
     print(f"tail_log_increment,{_fmt(est.tail_log_increment)}")
     print(f"ell_max,{est.ell_max}")
 
@@ -455,7 +461,7 @@ def _build_parser() -> _Parser:
         prob.add_argument(name, type=int, required=True)
     prob.add_argument("--lmax", type=int, default=1000, help="truncation: primes l <= lmax, from 2 to 10^7")
     prob.add_argument(
-        "--norm", choices=["paper", "half"], default=densities.DEFAULT_NORMALIZATION,
+        "--norm", choices=["paper", "half"], default="half",
         help="archimedean factor: paper (total mass 2) or half (total mass 1)",
     )
 

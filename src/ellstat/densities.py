@@ -37,12 +37,6 @@ from .arith import is_prime, kronecker_chi, primes_up_to, require_p, valuation
 from .errors import BudgetError, DomainError, InvariantError
 from .groups import GroupShape
 
-#: Adjudicated archimedean normalization: with the factor
-#: (1/(p*pi))*sqrt(4p - t^2) as printed, the total mass over the Hasse
-#: interval is 2 and shape probabilities sum to ~2; the "half" variant
-#: restores total mass 1.  Fixed empirically by the acceptance suite.
-DEFAULT_NORMALIZATION = "half"
-
 
 class LocalFactor(NamedTuple):
     value: Fraction
@@ -61,20 +55,18 @@ def _check_prime(n: int, name: str) -> None:
         raise DomainError(f"{name} must be prime, got {n}")
 
 
-def f_infty(t: int, p: int, normalization: str = DEFAULT_NORMALIZATION) -> float:
-    """Semicircle factor (1/(p*pi)) sqrt(4p - t^2) on |t| < 2 sqrt(p).
+def f_infty(t: int, p: int) -> float:
+    """Semicircle factor sqrt(4p - t^2)/(2 p pi) on |t| < 2 sqrt(p), mass 1.
 
-    normalization="half" multiplies by 1/2, making the factor integrate to 1
-    over the Hasse interval instead of 2.
+    The factor as printed, sqrt(4p - t^2)/(p pi), integrates to 2 over the
+    Hasse interval, so shape probabilities built on it sum to about 2; the
+    acceptance suite (criterion 6) adjudicated the mass-1 factor, half of it.
+    The CLI prints the printed form as twice this value (``prob --norm paper``).
     """
-    if p < 5:
-        raise DomainError(f"need p >= 5, got {p}")
-    if normalization not in ("paper", "half"):
-        raise DomainError(f"unknown normalization {normalization!r}")
+    require_p(p)
     if t * t >= 4 * p:
         return 0.0
-    val = sqrt(4 * p - t * t) / (p * pi)
-    return val / 2 if normalization == "half" else val
+    return sqrt(4 * p - t * t) / (p * pi) / 2
 
 
 # ----------------------------------------------------------------------
@@ -289,12 +281,20 @@ def g_density_tail(p: int, v: int, ell: int, R: int) -> Fraction:
     return mass - Fraction(ell - 1, ell ** (R + 1))
 
 
+#: The exact sum grows about R^2 log l: 2 s at l = 5, R = 10^4 (R log2 l = 3 * 10^4).
+_G_SUM_BUDGET = 2**15
+
+
 def g_sum(p: int, v: int, ell: int, R: int) -> Fraction:
     """sum_{w=0..R} g(w, v) with the w = R bucket meaning v_l >= R.
 
     For v = 0 this equals -delta_{ell | p-1}/(ell(ell^2-1)) + ell^-(R+1)
-    exactly.
+    exactly.  R * ell.bit_length() above ``_G_SUM_BUDGET`` raises
+    ``BudgetError`` before any term is summed.
     """
+    cost = R * ell.bit_length()
+    if cost > _G_SUM_BUDGET:
+        raise BudgetError(f"g-sum budget is R * bit_length(ell) <= {_G_SUM_BUDGET}, got {cost}")
     total = sum(g_density(p, w, v, ell, R) for w in range(R))
     return total + g_density_tail(p, v, ell, R)
 
@@ -331,12 +331,7 @@ def _legendre_row(D: int, ell_max: int) -> bytes:
     return bytes(row)
 
 
-def probability_product(
-    p: int,
-    shape: GroupShape,
-    ell_max: int,
-    normalization: str = DEFAULT_NORMALIZATION,
-) -> ProbabilityEstimate:
+def probability_product(p: int, shape: GroupShape, ell_max: int) -> ProbabilityEstimate:
     """Truncated local-density product approximating the probability that
     E(F_p) has the given shape.
 
@@ -372,7 +367,7 @@ def probability_product(
     D = t * t - 4 * p
     if D % (d1 * d1):
         raise InvariantError(f"d1^2 = {d1 * d1} does not divide D = {D}")
-    value = f_infty(t, p, normalization)
+    value = f_infty(t, p)
     tail_log = 0.0
     for ell, chi1 in zip(_primes(ell_max), _legendre_row(D, ell_max)):
         if ell == p:

@@ -116,11 +116,16 @@ def dirichlet_main(X: float, a: int = 0, q: int = 1) -> float:
     with c_k the Ramanujan sum.
     """
     _check_modulus(q)
+    return _main_term(X, q, [(k, ramanujan_sum(k, a)) for k in divisors(q)])
+
+
+def _main_term(X: float, q: int, row: list[tuple[int, int]]) -> float:
+    """D(X, a, q) from the pairs (k, c_k(a)) over the divisors k of q, ascending."""
     if X < 1:
         return 0.0
     acc = 0.0
-    for k in divisors(q):
-        acc += ramanujan_sum(k, a) / k * (math.log(X / k**2) + 2 * EULER_GAMMA - 1)
+    for k, c in row:
+        acc += c / k * (math.log(X / k**2) + 2 * EULER_GAMMA - 1)
     return X / q * acc
 
 
@@ -142,10 +147,12 @@ def _window_deltas(A: int, B: int, q: int) -> list[float]:
     """Delta(A, B, a, q) for every residue a, from one sieve pass; 1 <= A < B."""
     _check_window(A, B)
     vals = tau_window(A + 1, B)
-    return [
-        sum(vals[(a - A - 1) % q :: q]) - (dirichlet_main(B, a, q) - dirichlet_main(A, a, q))
-        for a in range(q)
-    ]
+    ks = divisors(q)
+    out = []
+    for a in range(q):
+        row = [(k, ramanujan_sum(k, a)) for k in ks]
+        out.append(sum(vals[(a - A - 1) % q :: q]) - (_main_term(B, q, row) - _main_term(A, q, row)))
+    return out
 
 
 def mean_square_experiment(A: float, B: float, q: int) -> MeanSquareResult:

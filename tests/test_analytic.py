@@ -131,17 +131,16 @@ def test_local_factor_r_ladder_stability():
 def test_main_term_d1_1_collapse():
     # the d1 = 1 term is 2 (log(p+1) + 2 gamma) * prod_{l | p-1} (1 - 1/(l(l^2-1)))
     for p in (11, 23, 101):
-        comp = main_term_components(p, "s", "A_unit", "paper")
+        half = main_term_components(p, "s", "A_unit")
         want = 2 * (math.log(p + 1) + 2 * EULER_GAMMA) * float(
             euler_product(p, 1)
         )
-        assert comp[1] == pytest.approx(want, rel=1e-12)
-        half = main_term_components(p, "s", "A_unit", "half")
+        assert 2 * half[1] == pytest.approx(want, rel=1e-12)
         assert half[1] == pytest.approx(want / 2, rel=1e-12)
 
 
 def _printed_components_per_k(p, stat, k_factor):
-    """Reference for the printed forms at normalization "paper": every
+    """Reference for the printed forms at archimedean mass 2: every
     divisor k of d1^2/u is factored, and K(k) multiplies local_factor over
     its primes.  local_factor is memoized per call only to keep the test fast."""
     weight = phi if stat == "s" else phi_star_mu
@@ -177,9 +176,9 @@ def test_printed_components_match_per_k_reference():
         for stat in ("s", "c"):
             for k_factor in ("A_unit", "B_inverse"):
                 want = _printed_components_per_k(p, stat, k_factor)
-                got = main_term_components(p, stat, k_factor, "paper")
+                half = main_term_components(p, stat, k_factor)
+                got = {d1: 2 * v for d1, v in half.items()}
                 assert list(got) == list(want) and got == want, (p, stat, k_factor)
-                half = main_term_components(p, stat, k_factor, "half")
                 assert half == {d1: v / 2 for d1, v in want.items()}, (p, stat, k_factor)
 
 
@@ -214,8 +213,8 @@ def test_main_term_stat_difference_is_u_weight_only():
     from ellstat.arith import divisors, phi, phi_star_mu, tau
 
     for k_factor in ("A_unit",):
-        got_s = main_term(p, "s", k_factor, "paper")
-        got_c = main_term(p, "c", k_factor, "paper")
+        got_s = 2 * main_term(p, "s", k_factor)
+        got_c = 2 * main_term(p, "c", k_factor)
         # recompute c from s by swapping weights
         diff = 0.0
         for d1 in divisors(p - 1):
@@ -357,8 +356,6 @@ def test_main_term_c_local_components():
             comp = main_term_components(p, stat, "C_local")
             assert list(comp) == divisors(p - 1)
             assert sum(comp.values()) == main_term(p, stat, "C_local")
-            paper = main_term_components(p, stat, "C_local", "paper")
-            assert paper == {d1: 2 * v for d1, v in comp.items()}
 
 
 def test_main_term_c_local_agrees_with_brute_force():
@@ -378,8 +375,8 @@ def test_estimate_average_slope_stabilizes():
     e2 = estimate_average_slope(120, 16, "s").value
     e3 = estimate_average_slope(240, 32, "s").value
     assert abs(e3 - e2) < abs(e2 - e1)
-    # positive and sane under both normalizations
-    assert estimate_average_slope(60, 8, "s", "paper").value > 1
+    # positive and sane at archimedean mass 2 as at mass 1
+    assert 2 * estimate_average_slope(60, 8, "s").value > 1
     assert estimate_average_slope(60, 8, "c").value <= estimate_average_slope(60, 8, "s").value
 
 

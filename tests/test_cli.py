@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -311,6 +312,18 @@ def test_density_g_sum():
     assert code == 2
 
 
+def test_density_g_sum_budget_exit_2(capsys):
+    # the exact sum grows about R^2 log l; R = 10^5 is refused before the loop
+    t0 = time.perf_counter()
+    assert main(["density", "g-sum", "--ell", "5", "--p", "11", "--R", "100000"]) == 2
+    assert time.perf_counter() - t0 < 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: g-sum budget"), err
+    assert _stdout(capsys, "density", "g-sum", "--ell", "5", "--p", "11", "--R", "3") == (
+        "value,-101/15000\nfloat,-0.00673333333333\npredicted,-101/15000\n"
+    )
+
+
 def test_prob_command():
     code, out, _ = run_cli("prob", "--p", "101", "--d1", "1", "--d2", "106", "--lmax", "300")
     assert code == 0
@@ -457,6 +470,33 @@ def test_divap_golden_outputs(capsys):
     )
     assert _stdout(capsys, "divap", "mean-square", "--A", "10000000", "--B", "10100000", "--q", "25") == (
         "lhs,5742.8130179\nenvelope,63706.9939343\nratio,0.0901441531493\n"
+    )
+
+
+def test_normalization_golden_outputs(capsys):
+    # recorded while the library still took a normalization argument
+    prob = ["prob", "--p", "101", "--lmax", "1000"]
+    # t = -4 and D = 16 - 404 = -2^2 * 97: l = 2 and l = 97 divide D, so f_ell enters
+    assert _stdout(capsys, *prob, "--d1", "1", "--d2", "106", "--norm", "paper") == (
+        "value,0.0395427607259\ntail_log_increment,0.0385158965779\nell_max,1000\n"
+    )
+    assert _stdout(capsys, *prob, "--d1", "1", "--d2", "106", "--norm", "half") == (
+        "value,0.019771380363\ntail_log_increment,0.0385158965779\nell_max,1000\n"
+    )
+    # N = 100, t = 2 and D = -2^4 * 5^2: level v = 1 at l = 2
+    assert _stdout(capsys, *prob, "--d1", "2", "--d2", "25", "--norm", "paper") == (
+        "value,0.0198360895784\ntail_log_increment,-0.0138375862018\nell_max,1000\n"
+    )
+    assert _stdout(capsys, "compare", "--p", "211,1009", "--stat", "c") == (
+        "p,brute_corrected,brute_printed,mt_A_paper,mt_A_half,mt_B_paper,mt_B_half,"
+        "rel_A_paper_corr,rel_A_paper_printed,rel_A_half_corr,rel_A_half_printed,"
+        "rel_B_paper_corr,rel_B_paper_printed,rel_B_half_corr,rel_B_half_printed\n"
+        "211,9.68167456556,11.4802527646,19.296865154,9.64843257702,20.3861476562,10.1930738281,"
+        "0.993133008487,0.680874589585,0.00343349575658,0.159562705208,"
+        "1.10564272927,0.775757735842,0.0528213646374,0.112121132079\n"
+        "1009,12.7033366369,15.6818632309,25.3604564555,12.6802282278,30.7376032649,15.3688016324,"
+        "0.99636183629,0.61718388192,0.00181908185504,0.19140805904,"
+        "1.41964801401,0.960073418078,0.209824007005,0.0199632909612\n"
     )
 
 

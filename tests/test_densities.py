@@ -7,7 +7,6 @@ import pytest
 from ellstat.arith import primes_up_to, valuation
 from ellstat.curves import empirical_probability, tally_structures
 from ellstat.densities import (
-    DEFAULT_NORMALIZATION,
     f_ell,
     f_ell_closed,
     f_infty,
@@ -21,7 +20,8 @@ from ellstat.densities import (
     _norm2,
     _sqrt_counts,
 )
-from ellstat.errors import DomainError
+from ellstat import densities
+from ellstat.errors import BudgetError, DomainError
 from ellstat.groups import GroupShape
 from oracles import _bucket_count_level, _norm3, count_bucket_enum, count_trace_fixed_enum
 
@@ -31,11 +31,16 @@ from oracles import _bucket_count_level, _norm3, count_bucket_enum, count_trace_
 # ----------------------------------------------------------------------
 
 def test_f_infty_values():
+    # mass 1; the printed factor is twice it
     p = 101
-    assert f_infty(0, p, "paper") == pytest.approx(2 / (math.pi * math.sqrt(p)))
-    assert f_infty(0, p, "half") == pytest.approx(1 / (math.pi * math.sqrt(p)))
-    assert f_infty(21, p, "paper") == 0.0  # 21^2 = 441 > 404
-    assert f_infty(-7, p, "paper") == f_infty(7, p, "paper")
+    assert 2 * f_infty(0, p) == pytest.approx(2 / (math.pi * math.sqrt(p)))
+    assert f_infty(0, p) == pytest.approx(1 / (math.pi * math.sqrt(p)))
+    assert f_infty(21, p) == 0.0  # 21^2 = 441 > 404
+    assert f_infty(-7, p) == f_infty(7, p)
+    # p is checked as on every other route: prime and at least 5
+    for bad in (6, 25, 3):
+        with pytest.raises(DomainError):
+            f_infty(0, bad)
 
 
 def test_f_infty_total_mass_quadrature():
@@ -43,7 +48,7 @@ def test_f_infty_total_mass_quadrature():
     p = 101
     ts = np.linspace(-2 * math.sqrt(p), 2 * math.sqrt(p), 400_001)
     mids = (ts[1:] + ts[:-1]) / 2
-    vals = np.array([f_infty(t, p, "paper") for t in mids[::1]])
+    vals = np.array([2 * f_infty(t, p) for t in mids[::1]])
     mass = float(vals.sum() * (mids[1] - mids[0]))
     assert mass == pytest.approx(2.0, abs=1e-3)
 
@@ -308,8 +313,18 @@ def test_probability_product_needs_a_prime():
             probability_product(101, GroupShape(1, 106), ell_max)
 
 
+def test_g_sum_budget(monkeypatch):
+    # R * bit_length(ell) is bounded before any term is summed
+    with pytest.raises(BudgetError):
+        g_sum(11, 0, 5, 10**5)
+    assert g_sum(7, 0, 2**127 - 1, 258) == Fraction(1, (2**127 - 1) ** 259)
+    monkeypatch.setattr(densities, "_G_SUM_BUDGET", 30)
+    assert g_sum(11, 0, 5, 10) == -Fraction(1, 5 * 24) + Fraction(1, 5**11)
+    with pytest.raises(BudgetError):
+        g_sum(11, 0, 5, 11)
+
+
 def test_probability_default_normalization_is_half():
-    assert DEFAULT_NORMALIZATION == "half"
     p = 101
     t = tally_structures(p)
     total = sum(probability_product(p, sh, 200).value for sh in t.counts)

@@ -185,6 +185,28 @@ def test_no_numpy_computation_in_src():
         assert used == [], path.name
 
 
+def test_no_unused_imports_in_src():
+    # every imported name is read in its module; the two exceptions are bound
+    # only for perfbench (analytic's span self-test and worker's numpy stamp)
+    import ast
+    import pathlib
+
+    pinned = {("analytic", "level_congruence_count"), ("divisor_ap", "numpy")}
+    unused = set()
+    for path in pathlib.Path(divisor_ap.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {(path.stem, name) for name in imported - read}
+    assert unused == pinned
+
 def test_hyperbola_budget(monkeypatch):
     assert divisor_ap._HYPERBOLA_BUDGET == 10**14
     for X in (10**14 + 1, 1e14 + 0.5, 1e300):
