@@ -30,12 +30,12 @@ has mass 2, and this module alone prints that form, as twice the mass-1
 value: ``prob --norm paper`` and compare's ``*_paper`` columns.  Doubling
 is exact in floating point.
 
-sweep builds one Hurwitz class-number table up to 4 xmax
-(``arith.hurwitz_table``) and every tally of the sweep reads 6H from it;
-xmax above 10^6 exits 2.  brute and compare tally one prime at a time
-without a table: each asks ``arith.hurwitz_sixfolds`` for the O(sqrt p)
-class numbers of its prime, one O(p) pass.  Their primes run from 5 to 10^6,
-where one tally takes about 1 s; a prime outside exits 2.
+Averages are read from class numbers with no tally; only ``brute --tally``
+builds one.  sweep builds one Hurwitz class-number table up to 4 xmax
+(``arith.hurwitz_table``) and every prime reads 6H from it; xmax above 10^6
+exits 2.  brute and compare read the O(sqrt p) class numbers of one prime
+from one O(p) pass (``curves.sixfolds``).  Their primes run from 5 to 10^6,
+where one prime takes about 1 s; a prime outside exits 2.
 """
 
 from __future__ import annotations
@@ -106,13 +106,14 @@ def cmd_brute(args: argparse.Namespace) -> None:
     bad = [s for s in names if s not in _STAT_NAMES]
     if bad:
         raise DomainError(f"unknown stats: {', '.join(bad)}")
-    tally = curves.tally_structures(p)
-    averages = curves.weighted_averages(tally)
+    six = curves.sixfolds(p)
+    averages = curves.weighted_averages(p, six)
     lines = ["stat,value"]
     lines += [f"{name},{_fmt(averages.select(_STAT_NAMES[name], formula))}" for name in names]
     if args.show_tally:
+        counts = curves.tally_structures(p, six).counts
         lines.append("d1,d2,count")
-        lines += [f"{shape.d1},{shape.d2},{tally.counts[shape]}" for shape in sorted(tally.counts)]
+        lines += [f"{shape.d1},{shape.d2},{counts[shape]}" for shape in sorted(counts)]
     print("\n".join(lines))
 
 
@@ -121,7 +122,7 @@ def cmd_brute(args: argparse.Namespace) -> None:
 # ----------------------------------------------------------------------
 
 def _sweep_row(p: int, table: list[int]) -> list:
-    avg = curves.weighted_averages(curves.tally_structures(p, table))
+    avg = curves.weighted_averages(p, table)
     return [p, avg.s_corrected, avg.s_printed, avg.c_corrected, avg.tau_N]
 
 
@@ -218,7 +219,7 @@ def cmd_compare(args: argparse.Namespace) -> None:
         _check_brute_p(p)
     print(",".join(COMPARE_HEADER))
     for p in ps:
-        averages = curves.weighted_averages(curves.tally_structures(p))
+        averages = curves.weighted_averages(p)
         brute = {
             "corr": float(averages.select(stat, "corrected")),
             "printed": float(averages.select(stat, "printed")),

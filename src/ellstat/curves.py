@@ -1,38 +1,24 @@
 """Short-Weierstrass curves y^2 = x^3 + ax + b over F_p: structure tallies
-by group shape and weighted averages.
+by group shape and weighted averages, both from Schoof's count.
 
-``tally_structures`` counts all p^2 - p nonsingular models of one prime by
-group shape Z/d1 x Z/(d1*d2) without enumerating a single curve.  By
-Schoof's theorem, weighted by 1/|Aut(E)| the curves with trace t and
+By Schoof's theorem, weighted by 1/|Aut(E)| the curves with trace t and
 E[n] in E(F_p) number H((4p - t^2)/n^2)/2 when n | p-1 and n^2 | p+1-t, H the
 Hurwitz class number.  A class occupies (p-1)/|Aut(E)| models, so
 F(n) = (p-1) 6H((4p - t^2)/n^2)/12 models have E[n] rational, computed in
-integers from the sixfold 6H; E[n] is rational exactly when
-n | d1, so Moebius inversion gives the models with d1 exactly m as
-sum_k mu(k) F(mk).  The count is exact and deterministic; dividing by
-p(p-1) gives the 1/|Aut| weighting with total mass 1.
+integers from the sixfold 6H; E[n] is rational exactly when n | d1, so
+Moebius inversion gives the models with d1 exactly m as sum_k mu(k) F(mk).
+The count is exact and deterministic; dividing by p(p-1) gives the 1/|Aut|
+weighting with total mass 1.
 
 The sixfolds 6H come from ``arith``.  A sweep over many primes passes one
-``arith.hurwitz_table`` up to 4 xmax, built once, and every tally reads
-6H(4p - t^2) and 6H((4p - t^2)/n^2) from it.  A single tally, which would
+``arith.hurwitz_table`` up to 4 xmax, built once, and every prime reads
+6H(4p - t^2) and 6H((4p - t^2)/n^2) from it.  A single prime, which would
 pay about 1.4 p^1.5 steps for a table up to 4p, asks
-``arith.hurwitz_sixfolds`` for just those values instead: one O(p) pass
-over a.
-
-A tally is kept per trace, in ascending t, as the count gives it.  Most
-traces have no n > 1 with n | p-1 and n^2 | N, so their one shape is Z/N:
-they are two parallel lists, the orders N and the model counts, built by
-list comprehensions without a ``GroupShape``.  Every other trace is one
-``(t, N, [(d1, models), ...])``.  The dict ``StructureTally.counts`` from
-shape to models is built from these on its first read, which only
-``brute --tally``, ``empirical_probability`` and the tests make.
-
-``weighted_averages`` reads every average of a tally in one pass over its
-traces.  Z/N has s = c = tau(N) in both conventions, so the cyclic traces
-and the d1 = 1 entries weigh their models by tau(N) from one divisor sieve
-of the Hasse window (``arith.tau_window``), and only the shapes with d1 >= 2
-call ``groups.shape_statistics``; ``weighted_average_from_tally`` selects
-one average.
+``arith.hurwitz_sixfolds`` for just those values instead (``sixfolds``):
+one O(p) pass over a.  ``_trace_sixfolds`` reads and checks them for both
+``tally_structures``, which builds the dict from shape to models, and
+``weighted_averages``, which needs no tally: a shape's models are (p-1)/12
+times its sixfold, so every average is a sum over sixfolds divided by 12p.
 
 The per-model point counts and group shapes that the tests hold the tally
 to, model by model, are in ``tests/oracles.py``.
@@ -44,7 +30,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 from .arith import divisors, hurwitz_sixfolds, require_p, tau_window
@@ -56,56 +42,31 @@ _STATS = (*SHAPE_STATS, "one")
 
 @dataclass(frozen=True)
 class StructureTally:
-    """Exact count of nonsingular models per group shape for one prime, per
-    trace t = p + 1 - N in ascending order.
+    """Exact count of nonsingular models per group shape Z/d1 x Z/(d1*d2) for
+    one prime, in ascending trace t = p + 1 - N and then ascending d1.
 
-    A trace whose only shape is Z/N (no n > 1 with n | p-1 and n^2 | N) is
-    one entry of the parallel lists ``cyclic_N`` and ``cyclic_models``; every
-    other trace is one ``(t, N, [(d1, models), ...])`` in ``split``, d1 in
-    ascending order.  Construction checks the tally: a mass other than
-    p(p-1), a d1 that does not divide p-1 or d1^2 N, or an N outside the
-    Hasse interval raises ``InvariantError``.
+    Construction checks the tally: a d1 that does not divide p-1, an order
+    outside the Hasse interval, a count below 1 or a mass other than p(p-1)
+    raises ``InvariantError``.
     """
 
     p: int
-    cyclic_N: list[int]
-    cyclic_models: list[int]
-    split: list[tuple[int, int, list[tuple[int, int]]]]
+    counts: dict[GroupShape, int]
 
     def __post_init__(self) -> None:
         p = self.p
         lo, hi = hasse_window(p)
-        if len(self.cyclic_N) != len(self.cyclic_models):
-            raise InvariantError(f"cyclic orders and counts differ in number at p={p}")
-        if self.cyclic_N and (min(self.cyclic_N) < lo or max(self.cyclic_N) > hi):
-            raise InvariantError(f"a cyclic order lies outside the Hasse interval [{lo}, {hi}] at p={p}")
-        for t, N, entries in self.split:
-            if not lo <= N <= hi or N != p + 1 - t:
-                raise InvariantError(f"order {N} of trace {t} is not p + 1 - t in [{lo}, {hi}] at p={p}")
-            for d1, _ in entries:
-                if (p - 1) % d1 or N % (d1 * d1):
-                    raise InvariantError(f"inadmissible d1={d1} for N={N} at p={p}")
+        for (d1, d2), models in self.counts.items():
+            if d1 < 1 or (p - 1) % d1 or not lo <= d1 * d1 * d2 <= hi:
+                raise InvariantError(f"inadmissible shape ({d1}, {d2}) at p={p}")
+            if models < 1:
+                raise InvariantError(f"non-positive count {models} for ({d1}, {d2}) at p={p}")
         mass = self.total()
         if mass != p * p - p:
             raise InvariantError(f"tally mass {mass} != p^2 - p = {p * p - p} at p={p}")
 
-    @cached_property
-    def counts(self) -> dict[GroupShape, int]:
-        """Models per shape Z/d1 x Z/(d1*d2), ascending in t and then d1;
-        built on first read."""
-        p1 = self.p + 1
-        traces = [(p1 - N, [(1, models)]) for N, models in zip(self.cyclic_N, self.cyclic_models)]
-        traces += [(t, entries) for t, _, entries in self.split]
-        traces.sort(key=operator.itemgetter(0))
-        return {
-            GroupShape(d1, (p1 - t) // (d1 * d1)): models
-            for t, entries in traces
-            for d1, models in entries
-            if models
-        }
-
     def total(self) -> int:
-        return sum(self.cyclic_models) + sum(m for _, _, entries in self.split for _, m in entries)
+        return sum(self.counts.values())
 
 
 def hasse_window(p: int) -> tuple[int, int]:
@@ -115,66 +76,99 @@ def hasse_window(p: int) -> tuple[int, int]:
 
 
 # ----------------------------------------------------------------------
-# the tally by Schoof's count
+# Schoof's count
 # ----------------------------------------------------------------------
 
-def tally_structures(p: int, table: list[int] | None = None) -> StructureTally:
-    """Exact tally of group shapes over all p^2 - p nonsingular models.
-
-    For each trace t with t^2 < 4p and N = p + 1 - t, the models with
-    E[n] in E(F_p) number F(n) = (p-1) 6H((4p - t^2)/n^2)/12 when n | p-1
-    and n^2 | N (Schoof), H the Hurwitz class number; those with d1 exactly
-    m number sum_k mu(k) F(mk).  The rows n > 1 visit only the traces
-    t = p + 1 (mod n^2); every other trace has the one shape Z/N with F(1)
-    models.
-
-    Every sixfold is read as six[D].  With ``table``
-    (``arith.hurwitz_table(M)``, M >= 4p) six is that table; a shorter one
-    raises ``DomainError``.  Without one, six is one ``arith.hurwitz_sixfolds``
-    call at 4p - t^2 for 0 <= t <= isqrt(4p - 1) (6H depends only on t^2)
-    and at every (4p - t^2)/n^2 of the rows.  Both give the same tally.
-    """
-    require_p(p)
-    four_p = 4 * p
-    tmax = math.isqrt(four_p - 1)
-    if table is not None and len(table) <= four_p:
-        raise DomainError(
-            f"Hurwitz table ends at D = {len(table) - 1}; the tally at p={p} needs D = {four_p}"
-        )
+def _rows(p: int) -> dict[int, list[int]]:
+    """{t: [1, n, ...]} for the traces t with some n > 1, n | p-1 and
+    n^2 | p + 1 - t, n ascending: the row n visits only the traces
+    t = p + 1 (mod n^2)."""
+    tmax = math.isqrt(4 * p - 1)
     rows: dict[int, list[int]] = {}
     for n in divisors(p - 1)[1:]:
         step = n * n
         for t in range(-tmax + (p + 1 + tmax) % step, tmax + 1, step):
             rows.setdefault(t, [1]).append(n)
-    six = table if table is not None else hurwitz_sixfolds(
-        [four_p - t * t for t in range(tmax + 1)]
-        + [(four_p - t * t) // (n * n) for t, ns in rows.items() for n in ns]
+    return rows
+
+
+def sixfolds(p: int) -> dict[int, int]:
+    """{D: 6H(D)} for every D that Schoof's count at p reads, from one
+    ``arith.hurwitz_sixfolds`` call: 4p - t^2 for 0 <= t <= isqrt(4p - 1)
+    (6H depends only on t^2) and (4p - t^2)/n^2 for every row n > 1."""
+    require_p(p)
+    four_p = 4 * p
+    return hurwitz_sixfolds(
+        [four_p - t * t for t in range(math.isqrt(four_p - 1) + 1)]
+        + [(four_p - t * t) // (n * n) for t, ns in _rows(p).items() for n in ns[1:]]
     )
-    cyclic_t = [t for t in range(-tmax, tmax + 1) if t not in rows]
-    sixfolds = [six[four_p - t * t] for t in cyclic_t]
-    cyclic_models = [(p - 1) * s // 12 for s in sixfolds]
-    # a floor equals its quotient only when that is whole, so the sums agree
-    # only when every (p - 1) 6H/12 is
-    if 12 * sum(cyclic_models) != (p - 1) * sum(sixfolds):
-        raise InvariantError(f"non-integral model count at p={p} for a trace with d1 = 1 only")
-    split = []
-    for t in sorted(rows):
+
+
+def _trace_sixfolds(
+    p: int, table: list[int] | dict[int, int] | None
+) -> tuple[list[int], dict[int, list[tuple[int, int]]]]:
+    """([6H(4p - t^2) for ascending t], {t: [(d1, e(d1)), ...]}) at p.
+
+    The dict holds the traces with some n > 1, and for each n | p-1 with
+    n^2 | N = p + 1 - t, d1 ascending from 1, the Moebius-inverted sixfold
+    e(d1) = sum_k mu(k) 6H((4p - t^2)/(d1 k)^2): the models with d1 exactly
+    m number (p-1) e(m)/12.  ``table`` is as in ``tally_structures``.
+    """
+    require_p(p)
+    six = sixfolds(p) if table is None else table
+    four_p = 4 * p
+    tmax = math.isqrt(four_p - 1)
+    rows = _rows(p)
+    ts = range(-tmax, tmax + 1)
+    try:
+        h = [six[four_p - t * t] for t in ts]
+        row_sixfolds = {t: [six[(four_p - t * t) // (n * n)] for n in ns] for t, ns in rows.items()}
+    except LookupError:
+        raise DomainError(f"Hurwitz table lacks a sixfold 6H(D), D <= {four_p}, that p={p} needs") from None
+    # every (p - 1) 6H/12 is whole iff (p - 1) times their gcd is a multiple of 12
+    if (p - 1) * math.gcd(*h, *chain.from_iterable(row_sixfolds.values())) % 12:
+        raise InvariantError(f"non-integral model count (p-1) 6H/12 at p={p}")
+    mass = sum(h)
+    if mass != 12 * p:
+        raise InvariantError(f"sum of 6H(4p - t^2) is {mass}, not 12p = {12 * p}, at p={p}")
+    moment = sum(map(operator.mul, map(operator.mul, ts, ts), h)) - p * mass
+    if moment != -12:
+        raise InvariantError(f"trace moment sum (t^2 - p) 6H(4p - t^2) is {moment}, not -12, at p={p}")
+    inverted = {}
+    for t, e in row_sixfolds.items():
         ns = rows[t]
-        D = four_p - t * t
-        exact = [(p - 1) * six[D // (n * n)] for n in ns]  # 12 F(n)
-        # Moebius inversion in place, largest n first: F(m) less the models of
-        # every proper multiple of m in ns leaves 12 times the models with d1
-        # exactly m; they are whole iff every F(n) is
-        k = len(ns)
-        for i in range(k - 2, -1, -1):
-            for j in range(i + 1, k):
+        # Moebius inversion in place, largest n first: 6H((4p - t^2)/m^2) less
+        # the inverted sixfolds of every proper multiple of m in ns
+        for i in range(len(ns) - 2, -1, -1):
+            for j in range(i + 1, len(ns)):
                 if ns[j] % ns[i] == 0:
-                    exact[i] -= exact[j]
-        models = [e // 12 for e in exact]
-        if min(exact) < 0 or 12 * sum(models) != sum(exact):
-            raise InvariantError(f"model counts {exact}/12 for d1 in {ns} at p={p}, t={t}")
-        split.append((t, p + 1 - t, [(m, c) for m, c in zip(ns, models) if c]))
-    return StructureTally(p, [p + 1 - t for t in cyclic_t], cyclic_models, split)
+                    e[i] -= e[j]
+        if min(e) < 0:
+            raise InvariantError(f"negative inverted sixfolds {e} for d1 in {ns} at p={p}, t={t}")
+        inverted[t] = list(zip(ns, e))
+    return h, inverted
+
+
+def tally_structures(p: int, table: list[int] | dict[int, int] | None = None) -> StructureTally:
+    """Exact tally of group shapes over all p^2 - p nonsingular models.
+
+    For each trace t with t^2 < 4p and N = p + 1 - t, the models with d1
+    exactly m number (p-1) e(m)/12, e the Moebius-inverted sixfolds of
+    ``_trace_sixfolds``; a trace with no n > 1 has the one shape Z/N with
+    (p-1) 6H(4p - t^2)/12 models.  6H(D) is read as ``table[D]``, from
+    ``arith.hurwitz_table(M)`` with M >= 4p or the ``sixfolds(p)`` dict, or
+    from ``sixfolds(p)`` without a table; all give the same tally, and a
+    table without a D that the count reads raises ``DomainError``.
+    """
+    h, inverted = _trace_sixfolds(p, table)
+    tmax = len(h) // 2
+    counts = {}
+    for t, s in zip(range(-tmax, tmax + 1), h):
+        N = p + 1 - t
+        for d1, e in inverted.get(t, ((1, s),)):
+            if e:
+                counts[GroupShape(d1, N // (d1 * d1))] = (p - 1) * e // 12
+    return StructureTally(p, counts)
 
 
 def empirical_probability(tally: StructureTally, shape: GroupShape) -> Fraction:
@@ -188,7 +182,7 @@ def empirical_probability(tally: StructureTally, shape: GroupShape) -> Fraction:
 
 
 class TallyAverages(NamedTuple):
-    """Every automorphism-weighted average of one tally, exactly: the fields
+    """Every automorphism-weighted average at one prime, exactly: the fields
     of ``groups.ShapeStatistics`` and the total mass ``one``."""
 
     s_corrected: Fraction
@@ -203,31 +197,32 @@ class TallyAverages(NamedTuple):
         return getattr(self, statistic_field(stat, formula, _STATS))
 
 
-def weighted_averages(tally: StructureTally) -> TallyAverages:
-    """All weighted averages of a tally in one pass over its traces.
+def weighted_averages(p: int, table: list[int] | dict[int, int] | None = None) -> TallyAverages:
+    """All weighted averages at p from the sixfolds, with no tally.
 
-    Every shape Z/N has s = c = tau(N) in both conventions, so the cyclic
-    traces and the d1 = 1 entry of every other trace weigh their models by
-    tau(N), read from one divisor sieve of the Hasse window; only the shapes
-    with d1 >= 2 call ``groups.shape_statistics``.
+    A shape's models are (p-1)/12 times its sixfold, and the mass p(p-1), so
+    each average is a sum over sixfolds divided by 12p.  Every Z/N has
+    s = c = tau(N), so sum_t 6H(4p - t^2) tau(N) counts every model as
+    cyclic; each shape with d1 >= 2 then adds e(d1) (stat(d1) - tau(N)).
+    ``table`` is as in ``tally_structures``.
     """
-    p = tally.p
+    h, inverted = _trace_sixfolds(p, table)
     lo, hi = hasse_window(p)
-    tau = tau_window(lo, hi)
-    tau_sum = sum(map(operator.mul, tally.cyclic_models, [tau[N - lo] for N in tally.cyclic_N]))
-    models, shapes = [], []
-    for _, N, entries in tally.split:
-        for d1, count in entries:
-            if d1 == 1:
-                tau_sum += count * tau[N - lo]
-            else:
-                models.append(count)
+    tau = tau_window(lo, hi)[::-1]  # tau(p + 1 - t) for ascending t
+    tmax = len(h) // 2
+    cyclic = sum(map(operator.mul, h, tau))
+    weights, shapes = [], []
+    for t, entries in inverted.items():
+        N = p + 1 - t
+        for d1, e in entries[1:]:
+            if e:
+                cyclic -= e * tau[t + tmax]
+                weights.append(e)
                 shapes.append(GroupShape(d1, N // (d1 * d1)))
     columns = zip(*map(shape_statistics, shapes))
-    mass = p * (p - 1)
     return TallyAverages(
-        *(Fraction(tau_sum + sum(map(operator.mul, models, column)), mass) for column in columns),
-        Fraction(1),  # construction checked that the tally's mass is p(p-1)
+        *(Fraction(cyclic + sum(map(operator.mul, weights, column)), 12 * p) for column in columns),
+        Fraction(1),  # _trace_sixfolds checked sum_t 6H(4p - t^2) = 12p
     )
 
 
@@ -236,5 +231,4 @@ def weighted_average_from_tally(
     tally: StructureTally, stat: str, formula: str = "corrected"
 ) -> Fraction:
     """Automorphism-weighted average of a shape statistic, exactly."""
-    return weighted_averages(tally).select(stat, formula)
-
+    return weighted_averages(tally.p).select(stat, formula)

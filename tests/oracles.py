@@ -13,7 +13,7 @@ Each oracle computes by another route, mostly by enumeration, what
   against t^2 < 4p, for ``curves.hasse_window``;
 * the averages of a tally summed shape by shape over ``StructureTally.counts``
   (``averages_from_counts``), for ``curves.weighted_averages``, which reads
-  tau(N) for the cyclic shapes from one divisor sieve;
+  them from the sixfolds with no tally;
 * matrix enumerations over Z/l^R (``count_trace_fixed_enum``,
   ``count_bucket_enum``) and the bucket count summed from fixed-trace counts
   (``_bucket_count_level``, normalized by ``_norm3``) for the root counts of

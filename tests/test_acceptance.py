@@ -13,11 +13,7 @@ from conftest import record_acceptance
 
 from ellstat.analytic import K_FACTORS, cyclicity_probability, main_term
 from ellstat.arith import hurwitz_table, primes_up_to, ramanujan_sum, valuation
-from ellstat.curves import (
-    empirical_probability,
-    tally_structures,
-    weighted_average_from_tally,
-)
+from ellstat.curves import empirical_probability, tally_structures, weighted_averages
 from ellstat.densities import f_ell, f_ell_closed, g_sum, probability_product
 from ellstat.divisor_ap import delta_at, mean_square_experiment
 from ellstat.groups import GroupShape, stat_on_shape
@@ -29,17 +25,19 @@ from oracles import (
     subgroup_oracle,
 )
 
-_TALLY_CACHE: dict[int, object] = {}
+_AVERAGES: dict[int, object] = {}
 _TABLE_P = 2423  # criterion 5's range: one class-number table serves its sweep
 
 
-def _tally(p):
-    if not _TALLY_CACHE:
+def _averages(p):
+    """weighted_averages(p), read for every prime up to _TABLE_P from one
+    shared class-number table, as sweep reads them."""
+    if not _AVERAGES:
         table = hurwitz_table(4 * _TABLE_P)
-        _TALLY_CACHE.update({q: tally_structures(q, table) for q in primes_up_to(_TABLE_P)[2:]})
-    if p not in _TALLY_CACHE:
-        _TALLY_CACHE[p] = tally_structures(p)
-    return _TALLY_CACHE[p]
+        _AVERAGES.update({q: weighted_averages(q, table) for q in primes_up_to(_TABLE_P)[2:]})
+    if p not in _AVERAGES:
+        _AVERAGES[p] = weighted_averages(p)
+    return _AVERAGES[p]
 
 
 def _report(num, name, ok, detail=""):
@@ -81,9 +79,9 @@ def test_criterion_2_printed_formula_adjudication():
 def test_criterion_3_mass_formula():
     ok = True
     for p in [q for q in primes_up_to(97) if q >= 5]:
-        t = _tally(p)
+        t = tally_structures(p)
         ok &= t.total() == p * p - p
-        ok &= weighted_average_from_tally(t, "one") == 1
+        ok &= _averages(p).select("one") == 1
         for sh in t.counts:
             ok &= (p - 1) % sh.d1 == 0
             ok &= hasse_admissible(p, sh.order)
@@ -146,7 +144,7 @@ def test_criterion_5_figure_slope():
     ps = [p for p in primes_up_to(2423) if p >= 5]
     fits = {}
     for formula in ("corrected", "printed"):
-        ys = [float(weighted_average_from_tally(_tally(p), "s", formula)) for p in ps]
+        ys = [float(_averages(p).select("s", formula)) for p in ps]
         fits[formula] = _through_origin_fit(ps, ys)
     # The weighted average as defined (automorphism weighting, total mass 1)
     # fits a slope twice the figure's 1.053: the figure's y-values carry an
@@ -166,7 +164,7 @@ def test_criterion_5_figure_slope():
 
 def test_criterion_6_total_probability():
     p = 101
-    t = _tally(p)
+    t = tally_structures(p)
     # the library's values have archimedean mass 1; the printed factor doubles them
     half = [probability_product(p, sh, 1000).value for sh in t.counts]
     totals = {"paper": sum(2 * v for v in half), "half": sum(half)}
@@ -189,10 +187,10 @@ def test_criterion_7_main_theorem_comparison():
     primes = [211, 401, 601, 1009, 2003]
     brute = {}
     for p in primes:
-        t = _tally(p)
+        averages = _averages(p)
         brute[p] = {
-            "corr": float(weighted_average_from_tally(t, "s", "corrected")),
-            "printed": float(weighted_average_from_tally(t, "s", "printed")),
+            "corr": float(averages.select("s", "corrected")),
+            "printed": float(averages.select("s", "printed")),
         }
     configs = {}
     for k in K_FACTORS:
@@ -275,7 +273,7 @@ def test_criterion_8_divisor_ap():
 
 def test_criterion_9_cyclicity_cross_check():
     p = 101
-    t = _tally(p)
+    t = tally_structures(p)
     freq = sum(c for sh, c in t.counts.items() if sh.d1 == 1) / (p * (p - 1))
     pred = float(cyclicity_probability(p))
     ok = abs(pred - freq) <= 0.10 * freq

@@ -20,7 +20,7 @@ from ellstat.analytic import (
 )
 from ellstat import analytic, arith
 from ellstat.arith import divisors, factorize, is_prime, phi, phi_star_mu, primes_up_to, tau, valuation
-from ellstat.curves import tally_structures, weighted_average_from_tally
+from ellstat.curves import weighted_averages
 from ellstat.densities import _count_trace_fixed_level, level_congruence_count
 from ellstat.errors import DomainError
 from oracles import _bucket_count_level, _norm3
@@ -363,9 +363,9 @@ def test_main_term_c_local_agrees_with_brute_force():
     for p in primes_up_to(211):
         if p < 100:
             continue
-        tally = tally_structures(p)
+        averages = weighted_averages(p)
         for stat in ("s", "c"):
-            brute = float(weighted_average_from_tally(tally, stat))
+            brute = float(averages.select(stat))
             err = abs(main_term(p, stat, "C_local") - brute) / brute
             assert err < 0.01, (p, stat, err)
 

@@ -1,14 +1,17 @@
+import ast
 import csv
 import hashlib
+import importlib
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import time
 
 import pytest
 
-from ellstat import cli
+from ellstat import cli, curves
 from ellstat.cli import main
 
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -511,3 +514,46 @@ def test_seed_determinism():
     b = run_cli("brute", "--p", "67", "--stats", "s", "--seed", "5")
     c = run_cli("brute", "--p", "67", "--stats", "s", "--seed", "6")
     assert a[1] == b[1] == c[1]  # values identical (and seed-independent here)
+
+
+def test_only_brute_tally_builds_a_tally(tmp_path, capsys, monkeypatch):
+    """sweep, compare and brute without --tally read the averages from the
+    sixfolds; StructureTally is made to raise to show that none is built."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("StructureTally built")
+
+    monkeypatch.setattr(curves, "StructureTally", refuse)
+    assert main(["sweep", "--xmax", "503", "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert main(["compare", "--p", "719,1019"]) == 0
+    assert main(["brute", "--p", "2003", "--stats", "s,c,tau,one"]) == 0
+    with pytest.raises(AssertionError, match="StructureTally built"):
+        main(["brute", "--p", "2003", "--tally"])
+
+
+def test_brute_tally_makes_one_class_number_pass(capsys, monkeypatch):
+    calls = []
+
+    def counted(discriminants):
+        calls.append(1)
+        return hurwitz_sixfolds(discriminants)
+
+    hurwitz_sixfolds = curves.hurwitz_sixfolds
+    monkeypatch.setattr(curves, "hurwitz_sixfolds", counted)
+    assert main(["brute", "--p", "2003", "--stats", "s,c,tau,one", "--tally"]) == 0
+    assert len(calls) == 1
+
+
+def test_perfbench_span_targets_resolve():
+    """Every module.fn that the benchmark's trace wraps is a function of the
+    package: a missing one makes ``perfbench/run.py --trace 1`` fail."""
+    spans = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(spans.read_text()).body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]
+    ]
+    assert targets
+    for target in targets:
+        module, fn = target.rsplit(".", 1)
+        assert callable(getattr(importlib.import_module(f"ellstat.{module}"), fn, None)), target

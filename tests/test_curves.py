@@ -8,7 +8,6 @@ import pytest
 from ellstat.arith import (
     divisors,
     factorize,
-    hurwitz_sixfolds,
     hurwitz_table,
     mu,
     primes_up_to,
@@ -16,10 +15,11 @@ from ellstat.arith import (
 )
 from ellstat.curves import (
     GroupShape,
+    StructureTally,
     empirical_probability,
     hasse_window,
+    sixfolds,
     tally_structures,
-    weighted_average_from_tally,
     weighted_averages,
 )
 from ellstat.errors import DomainError, InvariantError
@@ -137,13 +137,14 @@ def _reference_counts(p):
 
 
 def test_trace_sixfolds_match_per_trace_scan():
-    """The sixfolds a single tally reads for n = 1: one hurwitz_sixfolds call
-    at 4p - t^2, 0 <= t <= isqrt(4p - 1), against the per-value scan."""
+    """The sixfolds one prime reads, one hurwitz_sixfolds call at 4p - t^2,
+    0 <= t <= isqrt(4p - 1), and at the rows' (4p - t^2)/n^2, against the
+    per-value scan."""
     for p in primes_up_to(2999)[2:]:
         Ds = [4 * p - t * t for t in range(math.isqrt(4 * p - 1) + 1)]
-        sixfolds = hurwitz_sixfolds(Ds)
-        assert list(sixfolds) == Ds, p
-        assert list(sixfolds.values()) == [hurwitz_sixfold(D) for D in Ds], p
+        six = sixfolds(p)
+        assert list(six)[: len(Ds)] == Ds, p
+        assert list(six.values()) == [hurwitz_sixfold(D) for D in six], p
 
 
 def test_tally_matches_per_trace_reference():
@@ -192,10 +193,25 @@ def test_tally_from_hurwitz_table_matches_table_free_tally():
         assert list(counts.items()) == list(tally_structures(p).counts.items()), p
         assert list(counts.items()) == list(_reference_counts(p).items()), p
         _assert_level_n_closed_forms(p, counts)
-    for p, short in ((2003, table), (5, hurwitz_table(19)), (5, [])):
+    for p, short in ((2003, table), (5, hurwitz_table(19)), (5, []), (5, {})):
         with pytest.raises(DomainError, match="Hurwitz table"):
             tally_structures(p, short)
+        with pytest.raises(DomainError, match="Hurwitz table"):
+            weighted_averages(p, short)
     assert tally_structures(5, hurwitz_table(20)).counts == tally_structures(5).counts
+
+
+def test_tally_from_sixfolds_dict():
+    """The brute path (one sixfolds(p) dict for the averages and the tally)
+    against the table-free tally; a dict without a row's D raises."""
+    for p in (*primes_up_to(400)[2:], 2003, 4999):
+        six = sixfolds(p)
+        assert list(tally_structures(p, six).counts.items()) == list(tally_structures(p).counts.items())
+        assert weighted_averages(p, six) == weighted_averages(p)
+    six = sixfolds(73)
+    del six[(4 * 73 - 2 * 2) // 9]  # t = 2: N = 72 has the rows n = 2, 3, 6
+    with pytest.raises(DomainError, match="Hurwitz table"):
+        tally_structures(73, six)
 
 
 def test_hasse_window_matches_hasse_admissible():
@@ -204,45 +220,37 @@ def test_hasse_window_matches_hasse_admissible():
         assert [N for N in range(hi + 3) if hasse_admissible(p, N)] == list(range(lo, hi + 1)), p
 
 
-def test_tally_per_trace_form():
-    """Ascending traces, cyclic traces apart, and counts built on first read."""
+def test_tally_is_its_counts():
+    """Two fields; shapes in ascending trace and then d1, every count >= 1."""
     p = 73
     tally = tally_structures(p)
-    assert "counts" not in vars(tally)
-    traces = [p + 1 - N for N in tally.cyclic_N] + [t for t, _, _ in tally.split]
-    assert sorted(traces) == list(range(-17, 18))
-    assert tally.cyclic_N == sorted(tally.cyclic_N, reverse=True)
-    assert [t for t, _, _ in tally.split] == sorted(t for t, _, _ in tally.split)
-    for t, N, entries in tally.split:
-        assert N == p + 1 - t and [d1 for d1, _ in entries] == sorted(d1 for d1, _ in entries)
-    assert tally.counts is tally.counts
+    assert [f.name for f in dataclasses.fields(StructureTally)] == ["p", "counts"]
+    assert type(tally.counts) is dict
+    keys = [(p + 1 - sh.order, sh.d1) for sh in tally.counts]
+    assert keys == sorted(keys)
+    assert sorted({t for t, _ in keys}) == list(range(-17, 18))
+    assert min(tally.counts.values()) >= 1
     assert sum(tally.counts.values()) == tally.total() == p * p - p
 
 
 def test_tampered_tally_raises():
     p = 1009
-    tally = tally_structures(p)
+    counts = tally_structures(p).counts
     lo, hi = hasse_window(p)
-    i, (t, N, entries) = next((i, e) for i, e in enumerate(tally.split) if len(e[2]) > 1)
-    split = list(tally.split)
-    split[i] = (t, N, [entries[0], (5, entries[1][1]), *entries[2:]])  # 5 does not divide 1008
-    with pytest.raises(InvariantError, match="inadmissible d1=5"):
-        dataclasses.replace(tally, split=split)
-    for bad_N in (lo - 1, hi + 1):
-        cyclic_N = list(tally.cyclic_N)
-        cyclic_N[len(cyclic_N) // 2] = bad_N
-        with pytest.raises(InvariantError, match="outside"):
-            dataclasses.replace(tally, cyclic_N=cyclic_N)
-    split = list(tally.split)
-    split[0] = (split[0][0] - 1, split[0][1], split[0][2])  # N no longer p + 1 - t
-    with pytest.raises(InvariantError, match="is not p \\+ 1 - t"):
-        dataclasses.replace(tally, split=split)
-    for delta in (1, -1):
-        models = list(tally.cyclic_models)
-        models[0] += delta
-        with pytest.raises(InvariantError, match="tally mass"):
-            dataclasses.replace(tally, cyclic_models=models)
-    assert dataclasses.replace(tally).counts == tally.counts
+    shape = next(sh for sh in counts if sh.d1 == 2)
+    less = counts[shape] - 1  # one model moved to the bad shape keeps the mass
+    for match, update in (
+        (r"inadmissible shape \(5,", {GroupShape(5, shape.d2): 1, shape: less}),  # 5 does not divide 1008
+        (rf"inadmissible shape \(1, {lo - 1}\)", {GroupShape(1, lo - 1): 1, shape: less}),
+        (rf"inadmissible shape \(1, {hi + 1}\)", {GroupShape(1, hi + 1): 1, shape: less}),
+        ("non-positive count 0 ", {GroupShape(1, lo): 0}),
+        ("non-positive count -1 ", {GroupShape(1, lo): -1}),
+        ("tally mass", {shape: counts[shape] + 1}),
+        ("tally mass", {shape: less}),
+    ):
+        with pytest.raises(InvariantError, match=match):
+            StructureTally(p, {**counts, **update})
+    assert StructureTally(p, dict(counts)).counts == counts
 
 
 def test_tally_examples():
@@ -278,45 +286,43 @@ def test_empirical_probability():
 
 def test_weighted_average_mass():
     for p in (5, 7, 11, 37):
-        assert weighted_averages(tally_structures(p)).select("one") == 1
+        assert weighted_averages(p).select("one") == 1
 
 
 def test_weighted_average_examples():
-    avg = weighted_averages(tally_structures(5)).select("tau_N")
+    avg = weighted_averages(5).select("tau_N")
     assert avg.denominator in (1, 2, 4, 5, 10, 20)
     assert avg == Fraction(61, 20)
-    # aggregation orders agree: model sum vs shape sum
+    # aggregation orders agree: sixfold sum vs shape sum
     p = 61
     t = tally_structures(p)
     by_shape = sum(
         stat_on_shape(sh, "s", "corrected") * empirical_probability(t, sh)
         for sh in t.counts
     )
-    assert weighted_average_from_tally(t, "s", "corrected") == by_shape
+    assert weighted_averages(p).select("s", "corrected") == by_shape
 
 
 def test_cyclic_average_below_subgroup_average():
     for p in (5, 11, 37, 101):
-        t = tally_structures(p)
+        averages = weighted_averages(p)
         for formula in ("corrected", "printed"):
-            c = weighted_average_from_tally(t, "c", formula)
-            s = weighted_average_from_tally(t, "s", formula)
-            assert c <= s
+            assert averages.select("c", formula) <= averages.select("s", formula)
 
 
 def test_weighted_average_rejects():
     with pytest.raises(DomainError):
-        weighted_averages(tally_structures(4)).select("s")
+        weighted_averages(4)
     with pytest.raises(DomainError):
-        weighted_averages(tally_structures(5)).select("bogus")
-    t = tally_structures(7)
+        weighted_averages(5).select("bogus")
+    averages = weighted_averages(7)
     for stat in ("s", "c", "tau_N", "one"):
         with pytest.raises(DomainError):
-            weighted_average_from_tally(t, stat, "bogus")
+            averages.select(stat, "bogus")
 
 
 def test_weighted_averages_match_per_shape_convolution():
-    # the one-pass averages against per-shape sums of the convolution oracle
+    # the sixfold averages against per-shape sums of the convolution oracle
     for p in primes_up_to(200)[2:]:
         t = tally_structures(p)
         mass = p * (p - 1)
@@ -330,19 +336,45 @@ def test_weighted_averages_match_per_shape_convolution():
                 expected[f"{name}_{formula}"] = Fraction(acc, mass)
         expected["tau_N"] = Fraction(sum(c * tau(sh.order) for sh, c in t.counts.items()), mass)
         expected["one"] = Fraction(1)
-        assert weighted_averages(t)._asdict() == expected, p
+        assert weighted_averages(p)._asdict() == expected, p
 
 
 def test_weighted_averages_match_averages_from_counts():
-    """Schoof-count averages with tau(N) from the sieve against the per-shape
-    sum over counts, with and without the sweep's table."""
+    """Averages read from the sixfolds, tau(N) from the sieve, against the
+    per-shape sum over the tally's counts, with and without the sweep's table."""
     table = hurwitz_table(4 * 2999)
     for p in primes_up_to(2999)[2:]:
-        for tally in (tally_structures(p), tally_structures(p, table)):
-            assert weighted_averages(tally) == averages_from_counts(tally), p
+        expected = averages_from_counts(tally_structures(p))
+        assert weighted_averages(p) == weighted_averages(p, table) == expected, p
     for p in (100003, 400009, 999983):
-        tally = tally_structures(p)
-        assert weighted_averages(tally) == averages_from_counts(tally), p
+        six = sixfolds(p)  # one class-number pass for both, as brute --tally makes
+        assert weighted_averages(p, six) == averages_from_counts(tally_structures(p, six)), p
+
+
+def test_trace_moments():
+    """sum_t 6H(4p - t^2) = 12p (Kronecker) and sum_t (t^2 - p) 6H(4p - t^2)
+    = -12 (Birch), t^2 < 4p, from the sweep's table and from one prime's
+    sixfolds."""
+    table = hurwitz_table(4 * 2999)
+    for p in [*primes_up_to(2999)[2:], 100003, 999983]:
+        six = table if p < 3000 else sixfolds(p)
+        h = [(t, six[4 * p - t * t]) for t in range(-math.isqrt(4 * p - 1), math.isqrt(4 * p - 1) + 1)]
+        assert sum(s for _, s in h) == 12 * p, p
+        assert sum((t * t - p) * s for t, s in h) == -12, p
+
+
+def test_trace_moment_catches_what_the_mass_misses():
+    """Two cyclic traces' sixfolds swapped keep the mass, the integrality
+    and every row, but not the fourth moment."""
+    p = 1009
+    six = sixfolds(p)
+    t1, t2 = 1, 3  # N = 1009, 1007 = 19 * 53: no n > 1 row
+    D1, D2 = 4 * p - t1 * t1, 4 * p - t2 * t2
+    assert six[D1] != six[D2]
+    six[D1], six[D2] = six[D2], six[D1]
+    for read in (tally_structures, weighted_averages):
+        with pytest.raises(InvariantError, match="trace moment"):
+            read(p, six)
 
 
 def test_supersingular_trend():
