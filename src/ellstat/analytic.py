@@ -23,8 +23,9 @@ factorization of p - 1.
 model.  For l != p let pi_l(x, n) be the Haar probability that g in GL2(Z_l)
 with det g = p has congruence level exactly x and v_l(p + 1 - tr g) = n,
 and let f_l(x, n) = sum_{i <= x} w(l^i)(x-i+1)(n-x-i+1) be the statistic on
-Z/l^x x Z/l^(n-x).  Summing the Euler product of these local expectations
-against the double pole of zeta(s)^2 gives
+Z/l^x x Z/l^(n-x), the corrected ``groups.local_statistics(l, x, n)``.
+Summing the Euler product of these local expectations against the double
+pole of zeta(s)^2 gives
 
     H * (log(p+1) + 2 gamma + sum_{l != p} delta_l),
     H = prod_{l != p} (1 - 1/l) E_l[f_l],
@@ -43,19 +44,22 @@ prints the printed form's mass-2 value as twice it.  Which k_factor wins
 against brute force is adjudicated by acceptance criterion 7.
 
 The Euler factors of the printed form come from the same law:
-E_l = l^(2v) sum_{n >= 2v} pi_l(v, n) with v = v_l(d1), which is 1 off
-p - 1, 1 - 1/(l(l^2-1)) when l | p - 1 but l does not divide d1, and
-l^(2-v)/(l^2-1) or (l^2+l+1)/(l^(v+1)(l+1)) for l | d1 as v = v_l(p-1) or
-v < v_l(p-1).  Its oracle, used by the tests only, is the normalized matrix
-count ``densities.level_congruence_count`` of the telescoped trace-congruence
-class at level R = 2v + 1.
+E_l = l^(2v) sum_{n >= 2v} pi_l(v, n) with v = v_l(d1), a tail
+``densities.law_tail``, which is 1 off p - 1, 1 - 1/(l(l^2-1)) when
+l | p - 1 but l does not divide d1 (so the cyclicity constant is their
+product over l | p - 1), and l^(2-v)/(l^2-1) or (l^2+l+1)/(l^(v+1)(l+1))
+for l | d1 as v = v_l(p-1) or v < v_l(p-1).  Its oracle, used by the tests
+only, is the normalized matrix count ``densities.level_congruence_count`` of
+the telescoped trace-congruence class at level R = 2v + 1.
 
 Every number in the printed form is a product of the primes of p - 1, so
 the one factorization of p - 1 gives them all: the divisors d1, u and the
-k | d1^2/u are generated from exponent vectors, with phi, tau and the weight
-read from the exponents, and the local factors are computed once per d1.
-Nothing above p - 1 is factored.  The per-k path, which factors each k and
-calls ``local_factor`` per prime, is the reference the tests compare with.
+k | d1^2/u are generated from exponent vectors (``arith.exponent_divisors``),
+with phi, tau and the weight read from the exponents, and the local factors
+are computed once per d1; "C_local" reads each x = v_l(d1) from the same
+vectors.  Nothing above p - 1 is factored.  The per-k path, which factors
+each k and calls ``local_factor`` per prime, is the reference the tests
+compare with.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import (
-    divisors,
+    exponent_divisors,
     factorize,
     is_prime,
     phi_prime_power,
@@ -76,8 +80,9 @@ from .arith import (
     valuation,
 )
 # level_congruence_count is unused here; perfbench's span self-test asserts this binding.
-from .densities import frobenius_law, level_congruence_count  # noqa: F401
+from .densities import frobenius_law, law_tail, level_congruence_count  # noqa: F401
 from .errors import DomainError, InvariantError
+from .groups import local_statistics
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -98,11 +103,12 @@ _GENERIC_LOG_SUM = 1.2167634357266494
 
 def cyclicity_probability(p: int) -> Fraction:
     """prod_{l | p-1} (1 - 1/(l(l^2-1))): the asymptotic probability that
-    E(F_p) is cyclic.  Depends only on rad(p - 1)."""
+    E(F_p) is cyclic, the product of the level-0 Euler factors.  Depends
+    only on rad(p - 1)."""
     require_p(p)
     out = Fraction(1)
     for ell, _ in factorize(p - 1):
-        out *= 1 - Fraction(1, ell * (ell * ell - 1))
+        out *= _euler_factor_at(p, ell, 0)
     return out
 
 
@@ -110,13 +116,11 @@ def cyclicity_probability(p: int) -> Fraction:
 def _euler_factor_at(p: int, ell: int, v: int) -> Fraction:
     """Exact local factor E_l for v = v_l(d1), any d1 | p - 1 with that v.
 
-    E_l = l^(2v) sum_{n >= 2v} pi_l(v, n) = l^(2v) (a + b/(l-1)) with
-    (a, b) = densities.frobenius_law(l, v_l(p-1), v).  The tests check it
-    against the count l^(2v) level_congruence_count(p, v, l, 2v+1) /
-    _norm3(l, 2v+1), with ``_norm3`` from ``tests/oracles.py``.
+    E_l = l^(2v) sum_{n >= 2v} pi_l(v, n), read from ``densities.law_tail``.
+    The tests check it against the count l^(2v) level_congruence_count(p, v,
+    l, 2v+1) / _norm3(l, 2v+1), with ``_norm3`` from ``tests/oracles.py``.
     """
-    a, b = frobenius_law(ell, valuation(p - 1, ell), v)
-    E = ell ** (2 * v) * (a + b / (ell - 1))
+    E = ell ** (2 * v) * law_tail(p, v, ell, 2 * v)
     scaled = E * ell**v
     if v and not 1 <= scaled <= 1 + Fraction(2, ell) * (1 + Fraction(1, ell - 1)):
         raise InvariantError(f"local factor sandwich failed: ell={ell}, v={v}, p={p}")
@@ -166,20 +170,20 @@ def main_term_components(p: int, stat: str = "s", k_factor: str = DEFAULT_K_FACT
     primes = [ell for ell, _ in fac]
     weight = phi_prime_power if stat == "s" else phi_star_mu_prime_power
     out: dict[int, float] = {}
-    for d1, a in _exponent_divisors(fac):
+    for d1, a in exponent_divisors(fac):
         factors = [_euler_factor_at(p, ell, v) for ell, v in zip(primes, a)]
         # (k, phi(k), K(k)) for every k | d1^2, ascending.  K(k) is 1 for
         # "A_unit"; for "B_inverse" it depends on k only through the primes
         # dividing it, so it is formed once per set of primes.
         K: dict[tuple[bool, ...], float] = {}
         ks = []
-        for k, c in _exponent_divisors(zip(primes, [2 * v for v in a])):
+        for k, c in exponent_divisors(zip(primes, [2 * v for v in a])):
             support = tuple(ck > 0 for ck in c) if k_factor == "B_inverse" else ()
             if support not in K:
                 K[support] = float(math.prod(E for E, on in zip(factors, support) if on))
             ks.append((k, math.prod(phi_prime_power(ell, ck) for ell, ck in zip(primes, c)), K[support]))
         inner = 0.0
-        for u, b in _exponent_divisors(zip(primes, a)):
+        for u, b in exponent_divisors(zip(primes, a)):
             wu = math.prod(weight(ell, bu) for ell, bu in zip(primes, b))
             if wu == 0:
                 continue
@@ -194,15 +198,6 @@ def main_term_components(p: int, stat: str = "s", k_factor: str = DEFAULT_K_FACT
     return out
 
 
-def _exponent_divisors(fac) -> list[tuple[int, tuple[int, ...]]]:
-    """Every divisor n of prod l^e over the (l, e) pairs of fac, ascending,
-    with its exponent vector (v_l(n) for each l, in the order of fac)."""
-    out = [(1, ())]
-    for ell, e in fac:
-        out = [(n * ell**c, vs + (c,)) for n, vs in out for c in range(e + 1)]
-    return sorted(out)
-
-
 @lru_cache(maxsize=None)
 def _local_moments(ell: int, e: int, x: int, stat: str) -> tuple[Fraction, Fraction]:
     """(1 - 1/l) E_l[f 1_x] and (1 - 1/l) E_l[n f 1_x] at level x, exactly.
@@ -210,10 +205,10 @@ def _local_moments(ell: int, e: int, x: int, stat: str) -> tuple[Fraction, Fract
     On n = 2x + k the statistic is linear, f = f0 + beta*k, so the geometric
     tail sums in closed form with sum_k l^-k {1, k, k^2} = s0, s1, s2.
     """
-    weight = phi_prime_power if stat == "s" else phi_star_mu_prime_power
+    corrected = 0 if stat == "s" else 2  # index in local_statistics' tuple
     a, b = frobenius_law(ell, e, x)
-    f0 = sum(weight(ell, i) * (x - i + 1) ** 2 for i in range(x + 1))
-    beta = sum(weight(ell, i) * (x - i + 1) for i in range(x + 1))
+    f0 = local_statistics(ell, x, 2 * x)[corrected]
+    beta = local_statistics(ell, x, 2 * x + 1)[corrected] - f0
     n0 = 2 * x
     s0 = Fraction(1, ell - 1)
     s1 = Fraction(ell, (ell - 1) ** 2)
@@ -240,11 +235,11 @@ def _local_components(p: int, stat: str) -> dict[int, float]:
     for ell, _ in fac:
         log_sum += 2 * math.log(ell) / (ell - 1)
     out: dict[int, float] = {}
-    for d1 in divisors(p - 1):
+    for d1, xs in exponent_divisors(fac):
         prod = Fraction(1)
         shift = 0.0
-        for ell, e in fac:
-            ef, enf = _local_moments(ell, e, valuation(d1, ell), stat)
+        for (ell, e), x in zip(fac, xs):
+            ef, enf = _local_moments(ell, e, x, stat)
             prod *= ef
             shift += math.log(ell) * float(enf / ef)
         out[d1] = generic * float(prod) * (log_sum - shift)

@@ -1,9 +1,10 @@
-"""Exact elementary arithmetic: sieves, factorization, multiplicative
-functions, the divisor function over a window, Ramanujan sums, quadratic
-characters and Hurwitz class numbers.
+"""Exact elementary arithmetic: sieves, factorization, divisors with their
+exponent vectors, multiplicative functions, the divisor function over a
+window, Ramanujan sums, quadratic characters and Hurwitz class numbers.
 
 Every function here returns exact integers; floating point never enters
-these kernels.
+these kernels.  The production paths read phi and phi*mu in their
+prime-power forms; ``multiplicative_suite`` serves the tests.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import DomainError
 
@@ -133,12 +133,18 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out + [(p, rest.count(p)) for p in sorted(set(rest))]
 
 
+def exponent_divisors(fac) -> list[tuple[int, tuple[int, ...]]]:
+    """Every divisor n of prod l^e over the (l, e) pairs of fac, ascending,
+    with its exponent vector (v_l(n) for each l, in the order of fac)."""
+    out = [(1, ())]
+    for ell, e in fac:
+        out = [(n * ell**c, vs + (c,)) for n, vs in out for c in range(e + 1)]
+    return sorted(out)
+
+
 def divisors(n: int) -> list[int]:
     """Ordered list of the divisors of n."""
-    divs = [1]
-    for p, e in factorize(n):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+    return [d for d, _ in exponent_divisors(factorize(n))]
 
 
 def valuation(n: int, p: int) -> int:
@@ -196,31 +202,6 @@ def multiplicative_suite(n: int) -> MultiplicativeSuite:
     return MultiplicativeSuite(n, tau, sigma, phi, mu, psm, len(fac), rad)
 
 
-@lru_cache(maxsize=1 << 16)
-def tau(n: int) -> int:
-    return multiplicative_suite(n).tau
-
-
-@lru_cache(maxsize=1 << 16)
-def sigma(n: int) -> int:
-    return multiplicative_suite(n).sigma
-
-
-@lru_cache(maxsize=1 << 16)
-def phi(n: int) -> int:
-    return multiplicative_suite(n).phi
-
-
-@lru_cache(maxsize=1 << 16)
-def mu(n: int) -> int:
-    return multiplicative_suite(n).mu
-
-
-@lru_cache(maxsize=1 << 16)
-def phi_star_mu(n: int) -> int:
-    return multiplicative_suite(n).phi_star_mu
-
-
 def tau_window(lo: int, hi: int) -> list[int]:
     """[tau(lo), tau(lo + 1), ..., tau(hi)] from one segmented divisor sieve.
 
@@ -249,12 +230,20 @@ def tau_window(lo: int, hi: int) -> list[int]:
 
 
 def ramanujan_sum(k: int, a: int) -> int:
-    """Ramanujan sum c_k(a) = sum_{f | (k,a)} f * mu(k/f), exactly."""
+    """Ramanujan sum c_k(a) for any integer a, as Hoelder's product over the
+    l^e || k of phi(l^e) if l^e | a, -l^(e-1) if l^(e-1) || a, and 0 otherwise."""
     if k < 1:
         raise DomainError(f"modulus must be >= 1, got {k}")
-    a %= k
-    g = math.gcd(k, a) if a else k
-    return sum(f * mu(k // f) for f in divisors(g))
+    out = 1
+    for ell, e in factorize(k):
+        below = ell ** (e - 1)
+        if a % (below * ell) == 0:
+            out *= phi_prime_power(ell, e)
+        elif a % below == 0:
+            out *= -below
+        else:
+            return 0
+    return out
 
 
 def kronecker_chi(D: int, ell: int) -> int:

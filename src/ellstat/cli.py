@@ -186,6 +186,8 @@ def cmd_fit(args: argparse.Namespace) -> None:
                 ) from exc
             if not 0 < x < math.inf:
                 raise DomainError(f"x must be positive and finite, got {row['x']!r} in {infile}")
+            if not math.isfinite(y):
+                raise DomainError(f"{column} must be finite, got {row[column]!r} in {infile}")
             xs.append(x)
             ys.append(y)
     if not xs:

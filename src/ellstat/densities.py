@@ -166,7 +166,7 @@ def frobenius_law(ell: int, e: int, x: int) -> tuple[Fraction, Fraction]:
     return scale * Fraction(ell * ell - ell - 1, ell * ell - 1), scale
 
 
-def _law_tail(p: int, v: int, ell: int, n: int) -> Fraction:
+def law_tail(p: int, v: int, ell: int, n: int) -> Fraction:
     """sum_{k >= n} pi_l(v, k): the mass of level exactly v and v_l(N) >= n."""
     e = valuation(p - 1, ell)
     if v > e:
@@ -261,7 +261,7 @@ def g_density(p: int, w: int, v: int, ell: int, R: int) -> Fraction:
         raise DomainError(f"need 0 <= w < R, got w={w}, R={R}")
     if ell == p:
         raise DomainError(f"the Frobenius law needs ell != p, got ell=p={p}")
-    mass = _law_tail(p, v, ell, w) - _law_tail(p, v, ell, w + 1)
+    mass = law_tail(p, v, ell, w) - law_tail(p, v, ell, w + 1)
     return mass - Fraction(ell - 1, ell ** (w + 1))
 
 
@@ -277,24 +277,26 @@ def g_density_tail(p: int, v: int, ell: int, R: int) -> Fraction:
         raise DomainError(f"need R >= 1, got R={R}")
     if ell == p:
         raise DomainError(f"the Frobenius law needs ell != p, got ell=p={p}")
-    mass = _law_tail(p, v, ell, R) if v < R else Fraction(0)
+    mass = law_tail(p, v, ell, R) if v < R else Fraction(0)
     return mass - Fraction(ell - 1, ell ** (R + 1))
 
 
-#: The exact sum grows about R^2 log l: 2 s at l = 5, R = 10^4 (R log2 l = 3 * 10^4).
-_G_SUM_BUDGET = 2**15
+#: The exact sum has at most (R + 4 + 3v) log2 l bits above and below (the 3v
+#: for a level 0 < v < R), so the budget keeps it under Python's 4300-digit
+#: limit for printing an int.  It grows about R^2 log l: 0.3 s at l = 5, R = 4662.
+_G_SUM_BUDGET = 14_000
 
 
 def g_sum(p: int, v: int, ell: int, R: int) -> Fraction:
     """sum_{w=0..R} g(w, v) with the w = R bucket meaning v_l >= R.
 
     For v = 0 this equals -delta_{ell | p-1}/(ell(ell^2-1)) + ell^-(R+1)
-    exactly.  R * ell.bit_length() above ``_G_SUM_BUDGET`` raises
-    ``BudgetError`` before any term is summed.
+    exactly.  A cost (R + 4 + 3v) * ell.bit_length() above ``_G_SUM_BUDGET``
+    raises ``BudgetError`` before any term is summed.
     """
-    cost = R * ell.bit_length()
+    cost = (R + 4 + (3 * v if 0 < v < R else 0)) * ell.bit_length()
     if cost > _G_SUM_BUDGET:
-        raise BudgetError(f"g-sum budget is R * bit_length(ell) <= {_G_SUM_BUDGET}, got {cost}")
+        raise BudgetError(f"g-sum budget is (R + 4 + 3v) * bit_length(ell) <= {_G_SUM_BUDGET}, got {cost}")
     total = sum(g_density(p, w, v, ell, R) for w in range(R))
     return total + g_density_tail(p, v, ell, R)
 

@@ -7,12 +7,10 @@ displayed tau(d1^2*d2/u) verbatim, i.e. counts in Z/d1 x Z/(d1^2*d2).  The two
 disagree and the lattice oracle adjudicates in favour of ``corrected``, which
 is the default.
 
-``shape_statistics`` is the production path.  From one factorization of N it
-multiplies prime-power local factors: with a = v_l(d1) and b = v_l(N) - a
-(corrected) or v_l(N) (printed), the local value is
-sum_{k <= a} w(l^k) (a - k + 1)(b - k + 1), with w = phi for subgroups and
-w = phi*mu for cyclic subgroups, and tau(N) is read off the same exponents.
-``stat_on_shape`` selects one of its values.
+``shape_statistics`` is the production path: it multiplies the prime-power
+factors ``local_statistics`` over one factorization of N and reads tau(N) off
+the same exponents; ``analytic`` reads the corrected factors as the
+statistic of its Frobenius law.  ``stat_on_shape`` selects one value.
 
 The oracles the tests hold it to, the gcd sum and convolution
 ``subgroup_count`` and ``cyclic_subgroup_count`` and the lattice enumeration
@@ -75,6 +73,23 @@ def statistic_field(stat: str, formula: str, stats: tuple[str, ...] = SHAPE_STAT
     return f"{stat}_{formula}" if stat in ("s", "c") else stat
 
 
+def local_statistics(ell: int, a: int, e: int) -> tuple[int, int, int, int]:
+    """(s corrected, s printed, c corrected, c printed) at the prime l of a
+    shape with a = v_l(d1) and e = v_l(N): sum_{k <= a} w(l^k) (a - k + 1)
+    (b - k + 1), w = phi for s and phi*mu for c, counting in Z/l^a x Z/l^b
+    with b = e - a (corrected) or b = e (printed)."""
+    sc = sp = cc = cp = 0
+    for k in range(a + 1):
+        w_phi, w_psm = phi_prime_power(ell, k), phi_star_mu_prime_power(ell, k)
+        corr = (a - k + 1) * (e - a - k + 1)
+        prnt = (a - k + 1) * (e - k + 1)
+        sc += w_phi * corr
+        sp += w_phi * prnt
+        cc += w_psm * corr
+        cp += w_psm * prnt
+    return sc, sp, cc, cp
+
+
 # Cached because a sweep meets each shape again at every prime whose Hasse
 # interval holds its order.  Only shapes with d1 >= 2 and a non-zero count
 # come here, since an average weighs Z/N by tau(N) from its divisor sieve:
@@ -84,28 +99,14 @@ def statistic_field(stat: str, formula: str, stats: tuple[str, ...] = SHAPE_STAT
 # 2^14 entries hold the shapes of one prime far beyond p = 10^6.
 @lru_cache(maxsize=1 << 14)
 def shape_statistics(shape: GroupShape) -> ShapeStatistics:
-    """Every statistic of Z/d1 x Z/(d1*d2) as a product of local factors.
-
-    At each prime l | N = d1^2*d2 with a = v_l(d1), the factor of the
-    convention counting in Z/l^a x Z/l^b is
-    sum_{k <= a} w(l^k) (a - k + 1)(b - k + 1), w = phi for s and phi*mu for
-    c; b = v_l(N) - a for ``corrected`` and v_l(N) for ``printed``.
-    """
+    """Every statistic of Z/d1 x Z/(d1*d2) as a product over l | N of
+    ``local_statistics(l, v_l(d1), v_l(N))``, and tau(N)."""
     d1, d2 = shape
     _check_mn(d1, d2)
     s_corr = s_print = c_corr = c_print = tau_n = 1
     for ell, e in factorize(d1 * d1 * d2):
         tau_n *= e + 1
-        a = valuation(d1, ell)
-        sc = sp = cc = cp = 0
-        for k in range(a + 1):
-            w_phi, w_psm = phi_prime_power(ell, k), phi_star_mu_prime_power(ell, k)
-            corr = (a - k + 1) * (e - a - k + 1)
-            prnt = (a - k + 1) * (e - k + 1)
-            sc += w_phi * corr
-            sp += w_phi * prnt
-            cc += w_psm * corr
-            cp += w_psm * prnt
+        sc, sp, cc, cp = local_statistics(ell, valuation(d1, ell), e)
         s_corr *= sc
         s_print *= sp
         c_corr *= cc

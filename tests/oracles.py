@@ -7,6 +7,9 @@ Each oracle computes by another route, mostly by enumeration, what
   (``hurwitz_sixfold``) for ``arith.hurwitz_sixfolds`` and
   ``arith.hurwitz_table``, and the Ramanujan sum from its prime-power values
   (``ramanujan_von_sterneck``) for ``arith.ramanujan_sum``;
+* ``tau``, ``sigma``, ``phi``, ``mu`` and ``phi_star_mu`` of one integer,
+  each read from ``arith.multiplicative_suite`` (memoized here, for the
+  tests that sweep many small n);
 * per-model point counts and group shapes (``point_count``, ``group_shape``)
   for ``curves.tally_structures``; ``group_shape`` finds the exponent by a
   deterministic scan of all points.  ``hasse_admissible`` tests one order
@@ -40,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ellstat.arith import divisors, factorize, phi, phi_star_mu, require_p, tau, valuation
+from ellstat.arith import divisors, factorize, multiplicative_suite, require_p, valuation
 from ellstat.curves import StructureTally, TallyAverages
 from ellstat.densities import _count_trace_fixed_level
 from ellstat.errors import BudgetError, DomainError, InvariantError
@@ -49,6 +52,28 @@ from ellstat.groups import GroupShape, _check_mn, shape_statistics
 # ----------------------------------------------------------------------
 # one value at a time (oracles of arith)
 # ----------------------------------------------------------------------
+
+_suite = lru_cache(maxsize=1 << 16)(multiplicative_suite)
+
+
+def tau(n: int) -> int:
+    return _suite(n).tau
+
+
+def sigma(n: int) -> int:
+    return _suite(n).sigma
+
+
+def phi(n: int) -> int:
+    return _suite(n).phi
+
+
+def mu(n: int) -> int:
+    return _suite(n).mu
+
+
+def phi_star_mu(n: int) -> int:
+    return _suite(n).phi_star_mu
 
 
 @lru_cache(maxsize=1 << 16)

@@ -19,11 +19,11 @@ from ellstat.analytic import (
     main_term_components,
 )
 from ellstat import analytic, arith
-from ellstat.arith import divisors, factorize, is_prime, phi, phi_star_mu, primes_up_to, tau, valuation
+from ellstat.arith import divisors, factorize, is_prime, primes_up_to, valuation
 from ellstat.curves import weighted_averages
 from ellstat.densities import _count_trace_fixed_level, level_congruence_count
 from ellstat.errors import DomainError
-from oracles import _bucket_count_level, _norm3
+from oracles import _bucket_count_level, _norm3, phi, phi_star_mu, tau
 
 
 def test_cyclicity_examples():
@@ -210,7 +210,6 @@ def test_main_term_stat_difference_is_u_weight_only():
     # at p with p - 1 squarefree of the form 2*q both stats share every
     # term except u > 1 weights; verify via direct recomputation
     p = 11
-    from ellstat.arith import divisors, phi, phi_star_mu, tau
 
     for k_factor in ("A_unit",):
         got_s = 2 * main_term(p, "s", k_factor)

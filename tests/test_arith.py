@@ -18,21 +18,16 @@ from ellstat.arith import (
     is_prime,
     kronecker_chi,
     multiplicative_suite,
-    mu,
-    phi,
     phi_prime_power,
-    phi_star_mu,
     phi_star_mu_prime_power,
     primes_up_to,
     ramanujan_sum,
     require_p,
-    sigma,
-    tau,
     tau_window,
     valuation,
 )
 from ellstat.errors import DomainError
-from oracles import hurwitz_sixfold, ramanujan_von_sterneck
+from oracles import hurwitz_sixfold, mu, phi, phi_star_mu, ramanujan_von_sterneck, sigma, tau
 
 
 def test_primes_up_to_examples():
@@ -193,10 +188,14 @@ def test_ramanujan_examples():
 
 
 def test_ramanujan_dual_paths_and_exponential_oracle():
+    # a outside [0, k) too: Hoelder's product reduces a modulo each l^e || k,
+    # not modulo k, and divap passes negative a.  The divisor sum over
+    # f | (k, a) is the definition.
     for k in range(1, 201):
-        for a in range(k):
+        for a in range(-2 * k, 3 * k):
             d = ramanujan_sum(k, a)
-            assert d == ramanujan_von_sterneck(k, a), (k, a)
+            assert d == ramanujan_von_sterneck(k, a % k), (k, a)
+            assert d == sum(f * mu(k // f) for f in divisors(math.gcd(k, a))), (k, a)
             if k <= 60:
                 assert d == _ramanujan_exponential(k, a), (k, a)
 

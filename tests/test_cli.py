@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from ellstat import cli, curves
+from ellstat import cli, curves, densities
 from ellstat.cli import main
 
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -286,6 +286,9 @@ def test_fit_missing_column(tmp_path):
         ("x,y\nabc,1\n", "x='abc'"),  # non-numeric cell
         ("x,y\n5,1\n0,2\n", "got '0'"),  # log x undefined
         ("x,y\n1,1\n1,2\n", "is 1"),  # every log x is 0: no slope
+        ("x,y\n5,1\n7,nan\n", "y must be finite, got 'nan'"),  # slope,nan
+        ("x,y\n5,inf\n7,1\n", "y must be finite, got 'inf'"),  # slope,inf
+        ("x,y\n5,1\n7,-INF\n", "y must be finite, got '-INF'"),
     ],
 )
 def test_fit_bad_input_exit_2(tmp_path, body, bad):
@@ -322,9 +325,26 @@ def test_density_g_sum_budget_exit_2(capsys):
     assert time.perf_counter() - t0 < 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: g-sum budget"), err
+    # R = 10^4 used to sum for 2 s and then fail to print a 7000-digit value
+    assert main(["density", "g-sum", "--ell", "5", "--p", "7", "--R", "10000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: g-sum budget"), err
     assert _stdout(capsys, "density", "g-sum", "--ell", "5", "--p", "11", "--R", "3") == (
         "value,-101/15000\nfloat,-0.00673333333333\npredicted,-101/15000\n"
     )
+
+
+@pytest.mark.parametrize("ell, p", [(2, 7), (3, 7), (5, 11), (7, 29)])
+def test_density_g_sum_largest_admitted_R_prints(capsys, ell, p):
+    # every value the budget admits prints under Python's 4300-digit limit
+    # on int-to-str; the next R exits 2 before summing
+    R = densities._G_SUM_BUDGET // ell.bit_length() - 4
+    out = _stdout(capsys, "density", "g-sum", "--ell", str(ell), "--p", str(p), "--R", str(R))
+    rows = dict(line.split(",") for line in out.splitlines())
+    assert rows["value"] == rows["predicted"] != ""
+    assert main(["density", "g-sum", "--ell", str(ell), "--p", str(p), "--R", str(R + 1)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: g-sum budget"), err
 
 
 def test_prob_command():
@@ -379,6 +399,10 @@ def test_divap_delta():
     code, out, _ = run_cli("divap", "delta", "--X", "10", "--q", "1", "--a", "0")
     assert code == 0
     assert float(out.strip().split(",")[1]) == pytest.approx(2.4298, abs=1e-4)
+    # a is a residue modulo q: -7 and 5 are the same class modulo 12
+    want = run_cli("divap", "delta", "--X", "1000", "--q", "12", "--a", "5")
+    assert want[0] == 0
+    assert run_cli("divap", "delta", "--X", "1000", "--q", "12", "--a", "-7") == want
 
 
 def test_divap_mean_square():

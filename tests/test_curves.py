@@ -9,9 +9,7 @@ from ellstat.arith import (
     divisors,
     factorize,
     hurwitz_table,
-    mu,
     primes_up_to,
-    tau,
 )
 from ellstat.curves import (
     GroupShape,
@@ -30,8 +28,10 @@ from oracles import (
     group_shape,
     hasse_admissible,
     hurwitz_sixfold,
+    mu,
     point_count,
     subgroup_count,
+    tau,
 )
 
 

@@ -314,14 +314,35 @@ def test_probability_product_needs_a_prime():
 
 
 def test_g_sum_budget(monkeypatch):
-    # R * bit_length(ell) is bounded before any term is summed
+    # (R + 4 + 3v) * bit_length(ell), v counted for 0 < v < R, is bounded
+    # before any term is summed
     with pytest.raises(BudgetError):
         g_sum(11, 0, 5, 10**5)
-    assert g_sum(7, 0, 2**127 - 1, 258) == Fraction(1, (2**127 - 1) ** 259)
-    monkeypatch.setattr(densities, "_G_SUM_BUDGET", 30)
+    assert g_sum(7, 0, 2**127 - 1, 106) == Fraction(1, (2**127 - 1) ** 107)
+    with pytest.raises(BudgetError):
+        g_sum(7, 0, 2**127 - 1, 107)
+    monkeypatch.setattr(densities, "_G_SUM_BUDGET", 42)
     assert g_sum(11, 0, 5, 10) == -Fraction(1, 5 * 24) + Fraction(1, 5**11)
     with pytest.raises(BudgetError):
         g_sum(11, 0, 5, 11)
+    # a level below R counts three times; a level at or above R adds no digits
+    assert g_sum(11, 1, 5, 5) == Fraction(1, 120) - 1 + Fraction(1, 5**6)  # level 1 has mass 1/120
+    with pytest.raises(BudgetError):
+        g_sum(11, 2, 5, 5)
+    assert g_sum(11, 20, 5, 10) == -1 + Fraction(1, 5**11)
+
+
+def test_g_sum_bits_within_budget_count():
+    # the count the budget bounds: max(|numerator|, denominator) has at most
+    # (R + 4 + 3v) log2(l) bits, v counted for v < R, at every level of primes with deep
+    # v_l(p - 1) (16, 9, 7 and 5), where l^(3v) dominates the denominator
+    for ell, p in ((2, 65537), (3, 39367), (5, 937501), (7, 168071)):
+        e = valuation(p - 1, ell)
+        for R in range(1, e + 4):
+            for v in range(e + 2):
+                val = g_sum(p, v, ell, R)
+                bits = max(abs(val.numerator).bit_length(), val.denominator.bit_length())
+                assert bits <= (R + 4 + (3 * v if v < R else 0)) * math.log2(ell), (ell, p, R, v)
 
 
 def test_probability_default_normalization_is_half():

@@ -1,9 +1,8 @@
 import pytest
 
-from ellstat.arith import sigma, tau
 from ellstat.errors import BudgetError, DomainError
 from ellstat.groups import GroupShape, shape_statistics, stat_on_shape
-from oracles import _cyclic_span, _join, cyclic_subgroup_count, subgroup_count, subgroup_oracle
+from oracles import _cyclic_span, _join, cyclic_subgroup_count, sigma, subgroup_count, subgroup_oracle, tau
 
 
 def test_subgroup_count_examples():
