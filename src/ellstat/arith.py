@@ -211,7 +211,8 @@ def tau_window(lo: int, hi: int) -> list[int]:
     costs about W log(sqrt hi) + sqrt(hi) steps: for the Hasse window of p,
     W = 2 isqrt(4p - 1) + 1, that is O(sqrt(p) log p).  An empty window
     (hi < lo) gives [].  It is the one divisor sieve of the package: it
-    serves ``curves.weighted_averages`` and the window sums of
+    serves ``curves.weighted_averages`` (the Hasse window divided by q for
+    one prime, a table from 1 for a sweep) and the window sums of
     ``divisor_ap``, which checks its own budgets first.
     """
     if lo < 1:

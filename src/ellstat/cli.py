@@ -31,11 +31,13 @@ value: ``prob --norm paper`` and compare's ``*_paper`` columns.  Doubling
 is exact in floating point.
 
 Averages are read from class numbers with no tally; only ``brute --tally``
-builds one.  sweep builds one Hurwitz class-number table up to 4 xmax
-(``arith.hurwitz_table``) and every prime reads 6H from it; xmax above 10^6
-exits 2.  brute and compare read the O(sqrt p) class numbers of one prime
-from one O(p) pass (``curves.sixfolds``).  Their primes run from 5 to 10^6,
-where one prime takes about 1 s; a prime outside exits 2.
+builds one, from the same inverted rows as its averages.  sweep builds one
+Hurwitz class-number table up to 4 xmax (``arith.hurwitz_table``) and one
+divisor-function table up to xmax + 1 + isqrt(4 xmax) (``arith.tau_window``),
+and every prime reads 6H and tau from them; xmax above 10^6 exits 2.  brute
+and compare read the O(sqrt p) class numbers of one prime from one O(p) pass
+(``curves.sixfolds``) and sieve tau over short windows.  Their primes run
+from 5 to 10^6, where one prime takes about 1 s; a prime outside exits 2.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import sys
 from fractions import Fraction
 
 from . import analytic, curves, densities, divisor_ap
-from .arith import hurwitz_table, is_prime, primes_up_to
+from .arith import hurwitz_table, is_prime, primes_up_to, tau_window
 from .errors import BudgetError, DomainError
 from .groups import GroupShape
 
@@ -106,12 +108,14 @@ def cmd_brute(args: argparse.Namespace) -> None:
     bad = [s for s in names if s not in _STAT_NAMES]
     if bad:
         raise DomainError(f"unknown stats: {', '.join(bad)}")
-    six = curves.sixfolds(p)
-    averages = curves.weighted_averages(p, six)
+    if args.show_tally:
+        averages, tally = curves._averages_and_tally(p)
+    else:
+        averages = curves.weighted_averages(p)
     lines = ["stat,value"]
     lines += [f"{name},{_fmt(averages.select(_STAT_NAMES[name], formula))}" for name in names]
     if args.show_tally:
-        counts = curves.tally_structures(p, six).counts
+        counts = tally.counts
         lines.append("d1,d2,count")
         lines += [f"{shape.d1},{shape.d2},{counts[shape]}" for shape in sorted(counts)]
     print("\n".join(lines))
@@ -121,8 +125,8 @@ def cmd_brute(args: argparse.Namespace) -> None:
 # sweep
 # ----------------------------------------------------------------------
 
-def _sweep_row(p: int, table: list[int]) -> list:
-    avg = curves.weighted_averages(p, table)
+def _sweep_row(p: int, table: list[int], taus: list[int]) -> list:
+    avg = curves.weighted_averages(p, table, taus)
     return [p, avg.s_corrected, avg.s_printed, avg.c_corrected, avg.tau_N]
 
 
@@ -131,8 +135,10 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     xmax, out = args.xmax, args.out
     if xmax > _SWEEP_MAX:
         raise DomainError(f"sweep needs xmax <= {_SWEEP_MAX}, got {xmax}")
-    table = hurwitz_table(4 * max(xmax, 0))
-    rows = [_sweep_row(p, table) for p in primes_up_to(xmax) if p >= 5]
+    top = max(xmax, 0)
+    table = hurwitz_table(4 * top)
+    taus = tau_window(1, top + 1 + math.isqrt(4 * top))
+    rows = [_sweep_row(p, table, taus) for p in primes_up_to(xmax) if p >= 5]
     running = 0.0
     try:
         with open(out, "w", newline="") as fh:

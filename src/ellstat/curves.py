@@ -2,40 +2,61 @@
 by group shape and weighted averages, both from Schoof's count.
 
 By Schoof's theorem, weighted by 1/|Aut(E)| the curves with trace t and
-E[n] in E(F_p) number H((4p - t^2)/n^2)/2 when n | p-1 and n^2 | p+1-t, H the
+E[m] in E(F_p) number H((4p - t^2)/m^2)/2 when m | p-1 and m^2 | p+1-t, H the
 Hurwitz class number.  A class occupies (p-1)/|Aut(E)| models, so
-F(n) = (p-1) 6H((4p - t^2)/n^2)/12 models have E[n] rational, computed in
-integers from the sixfold 6H; E[n] is rational exactly when n | d1, so
-Moebius inversion gives the models with d1 exactly m as sum_k mu(k) F(mk).
-The count is exact and deterministic; dividing by p(p-1) gives the 1/|Aut|
-weighting with total mass 1.
+(p-1) 6H((4p - t^2)/m^2)/12 models have E[m] rational, computed in integers
+from the sixfold 6H; E[m] is rational exactly when m | d1.
 
-The sixfolds 6H come from ``arith``.  A sweep over many primes passes one
-``arith.hurwitz_table`` up to 4 xmax, built once, and every prime reads
-6H(4p - t^2) and 6H((4p - t^2)/n^2) from it.  A single prime, which would
-pay about 1.4 p^1.5 steps for a table up to 4p, asks
-``arith.hurwitz_sixfolds`` for just those values instead (``sixfolds``):
-one O(p) pass over a.  ``_trace_sixfolds`` reads and checks them for both
-``tally_structures``, which builds the dict from shape to models, and
-``weighted_averages``, which needs no tally: a shape's models are (p-1)/12
-times its sixfold, so every average is a sum over sixfolds divided by 12p.
+``_inverted_rows`` reads the count one row at a time.  Row m, for each
+m | p-1 with m^2 <= p + 1 + isqrt(4p - 1), holds F_m[j] = 6H((4p - t^2)/m^2)
+at the traces t = t0 + j m^2 of the Hasse window with m^2 | N = p + 1 - t.
+The traces of a proper multiple m' of m are the strided slice
+[off::(m'/m)^2] of row m, so Moebius inversion, largest m first, subtracts
+whole rows and leaves E_m: the models with d1 exactly m at the trace t of
+entry j number (p-1) E_m[j]/12.  The count is exact and deterministic;
+dividing by p(p-1) gives the 1/|Aut| weighting with total mass 1.
+
+``tally_structures`` lists those counts by shape.  ``weighted_averages``
+needs no shape.  Z/m x Z/(N/m) has sum_{k | m} w(k) tau(m/k) tau(N/(mk))
+subgroups, w = phi (phi*mu for the cyclic ones), and the printed convention
+reads tau(N/k) for tau(N/(mk)).  Along row m these arguments step by m/k
+and m^2/k, so each average times 12p is a sum of inner products of E_m
+with strided slices of a tau table, and tau_N is that of row 1 before
+inversion with tau(N).
+
+The sixfolds 6H come from ``arith``.  A sweep over many primes builds one
+``arith.hurwitz_table`` up to 4 xmax and one ``arith.tau_window(1, M)``,
+M = xmax + 1 + isqrt(4 xmax), and every prime reads both.  A single prime,
+which would pay about 1.4 p^1.5 steps for a class-number table up to 4p,
+asks ``arith.hurwitz_sixfolds`` for just the values its rows read instead
+(``sixfolds``): one O(p) pass over a.  Its tau values come from one sieved
+window [ceil(lo/q), floor(hi/q)] for each q that divides an argument.
 
 The per-model point counts and group shapes that the tests hold the tally
-to, model by model, are in ``tests/oracles.py``.
+to, model by model, and the averages summed shape by shape, are in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
 
-from .arith import divisors, hurwitz_sixfolds, require_p, tau_window
+from .arith import (
+    factorize,
+    hurwitz_sixfolds,
+    phi_prime_power,
+    phi_star_mu_prime_power,
+    require_p,
+    tau_window,
+)
 from .errors import DomainError, InvariantError
-from .groups import SHAPE_STATS, GroupShape, shape_statistics, statistic_field
+from .groups import SHAPE_STATS, GroupShape, statistic_field
 
 _STATS = (*SHAPE_STATS, "one")
 
@@ -76,99 +97,148 @@ def hasse_window(p: int) -> tuple[int, int]:
 
 
 # ----------------------------------------------------------------------
-# Schoof's count
+# Schoof's count, one row per m | p-1
 # ----------------------------------------------------------------------
 
-def _rows(p: int) -> dict[int, list[int]]:
-    """{t: [1, n, ...]} for the traces t with some n > 1, n | p-1 and
-    n^2 | p + 1 - t, n ascending: the row n visits only the traces
-    t = p + 1 (mod n^2)."""
+class _Rows(NamedTuple):
+    """Schoof's count at p by rows m | p-1, Moebius-inverted.
+
+    ``divisors`` holds (m, tau(m), phi(m), (phi*mu)(m)) for each row, m
+    ascending; ``starts`` the trace t0 of each row's entry 0; ``h`` row 1
+    before inversion, 6H(4p - t^2) for ascending t; ``inverted`` every
+    row's E_m.
+    """
+
+    p: int
+    divisors: list[tuple[int, int, int, int]]
+    starts: list[int]
+    h: list[int]
+    inverted: list[list[int]]
+
+
+def _row_divisors(p: int) -> list[tuple[int, int, int, int]]:
+    """(m, tau(m), phi(m), (phi*mu)(m)) for every m | p-1 with
+    m^2 <= p + 1 + isqrt(4p - 1), m ascending: the rows that hold a trace.
+    Each is multiplied out of the prime powers of one factorization of p-1."""
+    hi = hasse_window(p)[1]
+    out = [(1, 1, 1, 1)]
+    for ell, e in factorize(p - 1):
+        powers = [
+            (ell**c, c + 1, phi_prime_power(ell, c), phi_star_mu_prime_power(ell, c))
+            for c in range(e + 1)
+        ]
+        out = [
+            (m * q, tau * u, phi * f, psm * g)
+            for m, tau, phi, psm in out
+            for q, u, f, g in powers
+            if (m * q) ** 2 <= hi
+        ]
+    return sorted(out)
+
+
+def _row_starts(p: int, ms: list[int]) -> list[int]:
+    """For each m, the least t >= -isqrt(4p - 1) with t = p + 1 (mod m^2)."""
     tmax = math.isqrt(4 * p - 1)
-    rows: dict[int, list[int]] = {}
-    for n in divisors(p - 1)[1:]:
-        step = n * n
-        for t in range(-tmax + (p + 1 + tmax) % step, tmax + 1, step):
-            rows.setdefault(t, [1]).append(n)
-    return rows
+    return [-tmax + (p + 1 + tmax) % (m * m) for m in ms]
+
+
+def _sixfolds(p: int, ms: list[int], starts: list[int]) -> dict[int, int]:
+    four_p = 4 * p
+    tmax = -starts[0]
+    return hurwitz_sixfolds(
+        [four_p - t * t for t in range(tmax + 1)]
+        + [
+            (four_p - t * t) // (m * m)
+            for m, t0 in zip(ms[1:], starts[1:])
+            for t in range(t0, tmax + 1, m * m)
+        ]
+    )
 
 
 def sixfolds(p: int) -> dict[int, int]:
     """{D: 6H(D)} for every D that Schoof's count at p reads, from one
     ``arith.hurwitz_sixfolds`` call: 4p - t^2 for 0 <= t <= isqrt(4p - 1)
-    (6H depends only on t^2) and (4p - t^2)/n^2 for every row n > 1."""
+    (6H depends only on t^2), then (4p - t^2)/m^2 along every row m > 1."""
     require_p(p)
-    four_p = 4 * p
-    return hurwitz_sixfolds(
-        [four_p - t * t for t in range(math.isqrt(four_p - 1) + 1)]
-        + [(four_p - t * t) // (n * n) for t, ns in _rows(p).items() for n in ns[1:]]
-    )
+    ms = [m for m, *_ in _row_divisors(p)]
+    return _sixfolds(p, ms, _row_starts(p, ms))
 
 
-def _trace_sixfolds(
-    p: int, table: list[int] | dict[int, int] | None
-) -> tuple[list[int], dict[int, list[tuple[int, int]]]]:
-    """([6H(4p - t^2) for ascending t], {t: [(d1, e(d1)), ...]}) at p.
+def _inverted_rows(p: int, table: list[int] | dict[int, int] | None) -> _Rows:
+    """Every row of Schoof's count at p, checked and inverted.
 
-    The dict holds the traces with some n > 1, and for each n | p-1 with
-    n^2 | N = p + 1 - t, d1 ascending from 1, the Moebius-inverted sixfold
-    e(d1) = sum_k mu(k) 6H((4p - t^2)/(d1 k)^2): the models with d1 exactly
-    m number (p-1) e(m)/12.  ``table`` is as in ``tally_structures``.
+    ``table`` is as in ``tally_structures``.  Before inversion the rows must
+    give whole model counts (p-1) 6H/12, row 1 the mass sum_t 6H(4p - t^2)
+    = 12p (Kronecker) and the moment sum_t (t^2 - p) 6H(4p - t^2) = -12
+    (Birch); after it every E_m must be non-negative.  Each failure raises
+    ``InvariantError``.
     """
     require_p(p)
-    six = sixfolds(p) if table is None else table
+    divs = _row_divisors(p)
+    ms = [m for m, *_ in divs]
+    starts = _row_starts(p, ms)
+    six = _sixfolds(p, ms, starts) if table is None else table
     four_p = 4 * p
-    tmax = math.isqrt(four_p - 1)
-    rows = _rows(p)
-    ts = range(-tmax, tmax + 1)
+    tmax = -starts[0]
     try:
-        h = [six[four_p - t * t] for t in ts]
-        row_sixfolds = {t: [six[(four_p - t * t) // (n * n)] for n in ns] for t, ns in rows.items()}
+        half = [six[four_p - t * t] for t in range(tmax + 1)]  # 6H depends only on t^2
+        rows = [half[:0:-1] + half] + [
+            [six[(four_p - t * t) // (m * m)] for t in range(t0, tmax + 1, m * m)]
+            for m, t0 in zip(ms[1:], starts[1:])
+        ]
     except LookupError:
         raise DomainError(f"Hurwitz table lacks a sixfold 6H(D), D <= {four_p}, that p={p} needs") from None
     # every (p - 1) 6H/12 is whole iff (p - 1) times their gcd is a multiple of 12
-    if (p - 1) * math.gcd(*h, *chain.from_iterable(row_sixfolds.values())) % 12:
+    if (p - 1) * math.gcd(*chain.from_iterable(rows)) % 12:
         raise InvariantError(f"non-integral model count (p-1) 6H/12 at p={p}")
+    h = rows[0]
     mass = sum(h)
     if mass != 12 * p:
         raise InvariantError(f"sum of 6H(4p - t^2) is {mass}, not 12p = {12 * p}, at p={p}")
+    ts = range(-tmax, tmax + 1)
     moment = sum(map(operator.mul, map(operator.mul, ts, ts), h)) - p * mass
     if moment != -12:
         raise InvariantError(f"trace moment sum (t^2 - p) 6H(4p - t^2) is {moment}, not -12, at p={p}")
-    inverted = {}
-    for t, e in row_sixfolds.items():
-        ns = rows[t]
-        # Moebius inversion in place, largest n first: 6H((4p - t^2)/m^2) less
-        # the inverted sixfolds of every proper multiple of m in ns
-        for i in range(len(ns) - 2, -1, -1):
-            for j in range(i + 1, len(ns)):
-                if ns[j] % ns[i] == 0:
-                    e[i] -= e[j]
-        if min(e) < 0:
-            raise InvariantError(f"negative inverted sixfolds {e} for d1 in {ns} at p={p}, t={t}")
-        inverted[t] = list(zip(ns, e))
-    return h, inverted
+    inverted = [h.copy(), *rows[1:]]
+    # largest m first: E_m = F_m less E_m' of every proper multiple m' of m,
+    # whose traces are the entries off, off + (m'/m)^2, ... of row m
+    for i in range(len(ms) - 2, -1, -1):
+        m, e = ms[i], inverted[i]
+        for j in range(i + 1, len(ms)):
+            if ms[j] % m == 0:
+                off, step = (starts[j] - starts[i]) // (m * m), (ms[j] // m) ** 2
+                e[off::step] = map(operator.sub, e[off::step], inverted[j])
+    for m, t0, e in zip(ms, starts, inverted):
+        if e and min(e) < 0:
+            j = e.index(min(e))
+            raise InvariantError(f"negative inverted sixfold {e[j]} for d1 = {m} at p={p}, t={t0 + j * m * m}")
+    return _Rows(p, divs, starts, h, inverted)
+
+
+def _tally(rows: _Rows) -> StructureTally:
+    p = rows.p
+    entries = sorted(
+        (t0 + j * m * m, m, e)
+        for (m, *_), t0, row in zip(rows.divisors, rows.starts, rows.inverted)
+        for j, e in enumerate(row)
+        if e
+    )
+    return StructureTally(
+        p, {GroupShape(m, (p + 1 - t) // (m * m)): (p - 1) * e // 12 for t, m, e in entries}
+    )
 
 
 def tally_structures(p: int, table: list[int] | dict[int, int] | None = None) -> StructureTally:
     """Exact tally of group shapes over all p^2 - p nonsingular models.
 
-    For each trace t with t^2 < 4p and N = p + 1 - t, the models with d1
-    exactly m number (p-1) e(m)/12, e the Moebius-inverted sixfolds of
-    ``_trace_sixfolds``; a trace with no n > 1 has the one shape Z/N with
-    (p-1) 6H(4p - t^2)/12 models.  6H(D) is read as ``table[D]``, from
+    The models with d1 exactly m at trace t number (p-1) E_m/12, E_m the
+    inverted row m of ``_inverted_rows`` at t; they have the shape
+    (m, N/m^2), N = p + 1 - t.  6H(D) is read as ``table[D]``, from
     ``arith.hurwitz_table(M)`` with M >= 4p or the ``sixfolds(p)`` dict, or
     from ``sixfolds(p)`` without a table; all give the same tally, and a
     table without a D that the count reads raises ``DomainError``.
     """
-    h, inverted = _trace_sixfolds(p, table)
-    tmax = len(h) // 2
-    counts = {}
-    for t, s in zip(range(-tmax, tmax + 1), h):
-        N = p + 1 - t
-        for d1, e in inverted.get(t, ((1, s),)):
-            if e:
-                counts[GroupShape(d1, N // (d1 * d1))] = (p - 1) * e // 12
-    return StructureTally(p, counts)
+    return _tally(_inverted_rows(p, table))
 
 
 def empirical_probability(tally: StructureTally, shape: GroupShape) -> Fraction:
@@ -197,33 +267,78 @@ class TallyAverages(NamedTuple):
         return getattr(self, statistic_field(stat, formula, _STATS))
 
 
-def weighted_averages(p: int, table: list[int] | dict[int, int] | None = None) -> TallyAverages:
-    """All weighted averages at p from the sixfolds, with no tally.
-
-    A shape's models are (p-1)/12 times its sixfold, and the mass p(p-1), so
-    each average is a sum over sixfolds divided by 12p.  Every Z/N has
-    s = c = tau(N), so sum_t 6H(4p - t^2) tau(N) counts every model as
-    cyclic; each shape with d1 >= 2 then adds e(d1) (stat(d1) - tau(N)).
-    ``table`` is as in ``tally_structures``.
-    """
-    h, inverted = _trace_sixfolds(p, table)
+def _averages(rows: _Rows, taus: list[int] | None) -> TallyAverages:
+    p = rows.p
     lo, hi = hasse_window(p)
-    tau = tau_window(lo, hi)[::-1]  # tau(p + 1 - t) for ascending t
-    tmax = len(h) // 2
-    cyclic = sum(map(operator.mul, h, tau))
-    weights, shapes = [], []
-    for t, entries in inverted.items():
-        N = p + 1 - t
-        for d1, e in entries[1:]:
-            if e:
-                cyclic -= e * tau[t + tmax]
-                weights.append(e)
-                shapes.append(GroupShape(d1, N // (d1 * d1)))
-    columns = zip(*map(shape_statistics, shapes))
+    stats = {m: rest for m, *rest in rows.divisors}
+    # (m, E_m in ascending N, the least N of the row) for every row with a trace
+    live = [
+        (m, e[::-1], p + 1 - t0 - (len(e) - 1) * m * m)
+        for (m, *_), t0, e in zip(rows.divisors, rows.starts, rows.inverted)
+        if e
+    ]
+    # (tau(first), tau(first + 1), ...), first) for each q that divides an argument
+    if taus is None:
+        qs = {q for m, _, _ in live for k in stats if m % k == 0 for q in (k, m * k)}
+        windows = {q: (tau_window(-(-lo // q), hi // q), -(-lo // q)) for q in qs}
+    elif len(taus) < hi:
+        raise DomainError(f"tau table ends at tau({len(taus)}), below the order {hi} that p={p} reads")
+    else:
+        windows = defaultdict(lambda: (taus, 1))
+    s_corr = s_print = c_corr = c_print = 0
+    for m, e, least in live:
+        n = len(e)
+        for k, (_, phi, psm) in stats.items():
+            if k > m:
+                break
+            if m % k:
+                continue
+            # along the row tau(N/(mk)) steps by m/k, and tau(N/k) by m^2/k
+            vals, first = windows[m * k]
+            start, step = least // (m * k) - first, m // k
+            corr = sum(map(operator.mul, e, vals[start : start + n * step : step]))
+            if k == 1:
+                by_m = corr  # <E_m, tau(N/m)>, which the printed term k = m reads too
+            if k == m:
+                prnt = by_m
+            else:
+                vals, first = windows[k]
+                start, step = least // k - first, m * m // k
+                prnt = sum(map(operator.mul, e, vals[start : start + n * step : step]))
+            tau_mk = stats[m // k][0]
+            s_corr += tau_mk * phi * corr
+            s_print += tau_mk * phi * prnt
+            c_corr += tau_mk * psm * corr
+            c_print += tau_mk * psm * prnt
+    vals, first = windows[1]
+    tau_n = sum(map(operator.mul, rows.h[::-1], vals[lo - first : hi - first + 1]))
     return TallyAverages(
-        *(Fraction(cyclic + sum(map(operator.mul, weights, column)), 12 * p) for column in columns),
-        Fraction(1),  # _trace_sixfolds checked sum_t 6H(4p - t^2) = 12p
+        *(Fraction(v, 12 * p) for v in (s_corr, s_print, c_corr, c_print, tau_n)),
+        Fraction(1),  # _inverted_rows checked sum_t 6H(4p - t^2) = 12p
     )
+
+
+def weighted_averages(
+    p: int, table: list[int] | dict[int, int] | None = None, taus: list[int] | None = None
+) -> TallyAverages:
+    """All weighted averages at p from the inverted rows, with no tally.
+
+    Each average times 12p is sum_m sum_{k | m} w(k) tau(m/k) <E_m, tau(N/(mk))>
+    (tau(N/k) in the printed convention), and tau_N times 12p is
+    <6H(4p - t^2), tau(N)> over the traces.  ``table`` is as in
+    ``tally_structures``.  ``taus`` is ``arith.tau_window(1, M)``, tau(n) at
+    ``taus[n - 1]``, with M >= p + 1 + isqrt(4p - 1); a shorter list raises
+    ``DomainError``.  Without it each q that divides an argument sieves its
+    own window of the Hasse interval divided by q.
+    """
+    return _averages(_inverted_rows(p, table), taus)
+
+
+def _averages_and_tally(p: int) -> tuple[TallyAverages, StructureTally]:
+    """``weighted_averages(p)`` and ``tally_structures(p)`` from one build of
+    the inverted rows, as ``brute --tally`` prints them."""
+    rows = _inverted_rows(p, None)
+    return _averages(rows, None), _tally(rows)
 
 
 # Kept for perfbench, which times it as a span (spans.TARGETS); the CLI never calls it.

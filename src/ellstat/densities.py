@@ -283,22 +283,32 @@ def g_density_tail(p: int, v: int, ell: int, R: int) -> Fraction:
 
 #: The exact sum has at most (R + 4 + 3v) log2 l bits above and below (the 3v
 #: for a level 0 < v < R), so the budget keeps it under Python's 4300-digit
-#: limit for printing an int.  It grows about R^2 log l: 0.3 s at l = 5, R = 4662.
+#: limit for printing an int.
 _G_SUM_BUDGET = 14_000
 
 
 def g_sum(p: int, v: int, ell: int, R: int) -> Fraction:
     """sum_{w=0..R} g(w, v) with the w = R bucket meaning v_l >= R.
 
-    For v = 0 this equals -delta_{ell | p-1}/(ell(ell^2-1)) + ell^-(R+1)
-    exactly.  A cost (R + 4 + 3v) * ell.bit_length() above ``_G_SUM_BUDGET``
-    raises ``BudgetError`` before any term is summed.
+    The masses of the buckets telescope: the sum is
+    law_tail(p, v, l, 0) - 1 + l^-(R+1) for v < R and -1 + l^-(R+1) for
+    v >= R, in O(1) Fraction operations.  For v = 0 this equals
+    -delta_{ell | p-1}/(ell(ell^2-1)) + ell^-(R+1) exactly.  A cost
+    (R + 4 + 3v) * ell.bit_length() above ``_G_SUM_BUDGET`` raises
+    ``BudgetError`` before anything is computed; R < 1, v < 0, ell = p or
+    an ell or p that is not prime raise ``DomainError``.
     """
     cost = (R + 4 + (3 * v if 0 < v < R else 0)) * ell.bit_length()
     if cost > _G_SUM_BUDGET:
         raise BudgetError(f"g-sum budget is (R + 4 + 3v) * bit_length(ell) <= {_G_SUM_BUDGET}, got {cost}")
-    total = sum(g_density(p, w, v, ell, R) for w in range(R))
-    return total + g_density_tail(p, v, ell, R)
+    _check_prime(ell, "ell")
+    _check_prime(p, "p")
+    if R < 1:
+        raise DomainError(f"need R >= 1, got R={R}")
+    if ell == p:
+        raise DomainError(f"the Frobenius law needs ell != p, got ell=p={p}")
+    tail = Fraction(1, ell ** (R + 1)) - 1
+    return law_tail(p, v, ell, 0) + tail if v < R else tail  # the law refuses v < 0
 
 
 # ----------------------------------------------------------------------

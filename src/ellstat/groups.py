@@ -7,10 +7,12 @@ displayed tau(d1^2*d2/u) verbatim, i.e. counts in Z/d1 x Z/(d1^2*d2).  The two
 disagree and the lattice oracle adjudicates in favour of ``corrected``, which
 is the default.
 
-``shape_statistics`` is the production path: it multiplies the prime-power
-factors ``local_statistics`` over one factorization of N and reads tau(N) off
-the same exponents; ``analytic`` reads the corrected factors as the
-statistic of its Frobenius law.  ``stat_on_shape`` selects one value.
+``shape_statistics`` multiplies the prime-power factors ``local_statistics``
+over one factorization of N and reads tau(N) off the same exponents; the
+tests hold ``curves.weighted_averages``, which sums the same convolutions
+along class-number rows with no shape, to it, and ``stat_on_shape`` selects
+one value.  ``analytic`` reads the corrected factors of ``local_statistics``
+as the statistic of its Frobenius law.
 
 The oracles the tests hold it to, the gcd sum and convolution
 ``subgroup_count`` and ``cyclic_subgroup_count`` and the lattice enumeration
@@ -19,7 +21,6 @@ The oracles the tests hold it to, the gcd sum and convolution
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import factorize, phi_prime_power, phi_star_mu_prime_power, valuation
@@ -90,14 +91,6 @@ def local_statistics(ell: int, a: int, e: int) -> tuple[int, int, int, int]:
     return sc, sp, cc, cp
 
 
-# Cached because a sweep meets each shape again at every prime whose Hasse
-# interval holds its order.  Only shapes with d1 >= 2 and a non-zero count
-# come here, since an average weighs Z/N by tau(N) from its divisor sieve:
-# 1001 at p = 999983, and `sweep --xmax 10000` makes 118 974 calls on 6328
-# shapes.  That sweep took 2.2-2.4 s in-process without the cache and
-# 1.1-1.5 s with it (five runs each, Python 3.11, 2-core VM), so it stays.
-# 2^14 entries hold the shapes of one prime far beyond p = 10^6.
-@lru_cache(maxsize=1 << 14)
 def shape_statistics(shape: GroupShape) -> ShapeStatistics:
     """Every statistic of Z/d1 x Z/(d1*d2) as a product over l | N of
     ``local_statistics(l, v_l(d1), v_l(N))``, and tau(N)."""

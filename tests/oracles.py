@@ -15,12 +15,14 @@ Each oracle computes by another route, mostly by enumeration, what
   deterministic scan of all points.  ``hasse_admissible`` tests one order
   against t^2 < 4p, for ``curves.hasse_window``;
 * the averages of a tally summed shape by shape over ``StructureTally.counts``
-  (``averages_from_counts``), for ``curves.weighted_averages``, which reads
-  them from the sixfolds with no tally;
+  (``averages_from_counts``, through ``groups.shape_statistics``), for
+  ``curves.weighted_averages``, which reads them from the inverted
+  class-number rows with no tally and no shape;
 * matrix enumerations over Z/l^R (``count_trace_fixed_enum``,
   ``count_bucket_enum``) and the bucket count summed from fixed-trace counts
   (``_bucket_count_level``, normalized by ``_norm3``) for the root counts of
-  ``densities`` and the Frobenius law;
+  ``densities`` and the Frobenius law, and the g densities summed bucket by
+  bucket (``g_sum_by_buckets``) for the closed form of ``densities.g_sum``;
 * ``subgroup_count`` and ``cyclic_subgroup_count`` for
   ``groups.shape_statistics``, in two flavours, and the lattice enumeration
   ``subgroup_oracle`` that checks both on small groups:
@@ -45,7 +47,7 @@ import numpy as np
 
 from ellstat.arith import divisors, factorize, multiplicative_suite, require_p, valuation
 from ellstat.curves import StructureTally, TallyAverages
-from ellstat.densities import _count_trace_fixed_level
+from ellstat.densities import _count_trace_fixed_level, g_density, g_density_tail
 from ellstat.errors import BudgetError, DomainError, InvariantError
 from ellstat.groups import GroupShape, _check_mn, shape_statistics
 
@@ -282,6 +284,11 @@ def _bucket_count_level(p: int, w: int, v: int, ell: int, R: int) -> int:
         for k in range(ell ** (R - w))
         if k % ell
     )
+
+
+def g_sum_by_buckets(p: int, v: int, ell: int, R: int) -> Fraction:
+    """sum_{w < R} g(w, v) plus the tail bucket w = R, term by term."""
+    return sum(g_density(p, w, v, ell, R) for w in range(R)) + g_density_tail(p, v, ell, R)
 
 
 def count_trace_fixed_enum(p: int, t: int, ell: int, R: int, u: int) -> int:

@@ -5,11 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ellstat import cli, curves
 from ellstat.arith import (
     divisors,
     factorize,
     hurwitz_table,
     primes_up_to,
+    tau_window,
 )
 from ellstat.curves import (
     GroupShape,
@@ -202,8 +204,8 @@ def test_tally_from_hurwitz_table_matches_table_free_tally():
 
 
 def test_tally_from_sixfolds_dict():
-    """The brute path (one sixfolds(p) dict for the averages and the tally)
-    against the table-free tally; a dict without a row's D raises."""
+    """One sixfolds(p) dict passed as the table, for the averages and the
+    tally, against the table-free path; a dict without a row's D raises."""
     for p in (*primes_up_to(400)[2:], 2003, 4999):
         six = sixfolds(p)
         assert list(tally_structures(p, six).counts.items()) == list(tally_structures(p).counts.items())
@@ -340,15 +342,18 @@ def test_weighted_averages_match_per_shape_convolution():
 
 
 def test_weighted_averages_match_averages_from_counts():
-    """Averages read from the sixfolds, tau(N) from the sieve, against the
-    per-shape sum over the tally's counts, with and without the sweep's table."""
+    """Averages read from the inverted rows and strided tau slices against
+    the per-shape sum over the tally's counts: with tau from per-q windows,
+    and with the sweep's class-number table with and without its tau table."""
     table = hurwitz_table(4 * 2999)
+    taus = tau_window(1, 2999 + 1 + math.isqrt(4 * 2999))
     for p in primes_up_to(2999)[2:]:
         expected = averages_from_counts(tally_structures(p))
         assert weighted_averages(p) == weighted_averages(p, table) == expected, p
+        assert weighted_averages(p, table, taus) == expected, p
     for p in (100003, 400009, 999983):
-        six = sixfolds(p)  # one class-number pass for both, as brute --tally makes
-        assert weighted_averages(p, six) == averages_from_counts(tally_structures(p, six)), p
+        averages, tally = curves._averages_and_tally(p)  # one row build, as brute --tally makes
+        assert averages == averages_from_counts(tally), p
 
 
 def test_trace_moments():
@@ -375,6 +380,59 @@ def test_trace_moment_catches_what_the_mass_misses():
     for read in (tally_structures, weighted_averages):
         with pytest.raises(InvariantError, match="trace moment"):
             read(p, six)
+
+
+def test_negative_inverted_row_raises():
+    """A row-2 sixfold raised until E_1 < 0 at one trace keeps the mass, the
+    moment and, as 12 | p - 1 = 1008, integrality; both readers refuse it."""
+    p, t = 1009, 2  # N = 1008 = 2^4 3^2 7 lies on the rows 1, 2, 3, 4, 6, 12
+    N = p + 1 - t
+    six = sixfolds(p)
+    e1 = 12 * tally_structures(p, six).counts[GroupShape(1, N)] // (p - 1)
+    D = (4 * p - t * t) // 4
+    assert e1 > 0 and D not in {4 * p - s * s for s in range(64)}  # not a row-1 sixfold
+    six[D] += e1 + 1
+    for read in (tally_structures, weighted_averages):
+        with pytest.raises(InvariantError, match=f"negative inverted sixfold -1 for d1 = 1 at p={p}, t={t}"):
+            read(p, six)
+
+
+def test_non_integral_row_raises():
+    """p - 1 = 1018 is not a multiple of 12, so a row-2 sixfold one too
+    large gives a fractional model count."""
+    p = 1019
+    six = sixfolds(p)
+    D = 4 * p // 4  # t = 0, N = 1020: row 2
+    assert D not in {4 * p - s * s for s in range(64)}
+    six[D] += 1
+    for read in (tally_structures, weighted_averages):
+        with pytest.raises(InvariantError, match="non-integral"):
+            read(p, six)
+
+
+def test_short_tau_table_raises():
+    """A tau table that stops one order short of the Hasse window's top."""
+    table = hurwitz_table(4 * 1009)
+    for p in (5, 1009):
+        hi = hasse_window(p)[1]
+        assert weighted_averages(p, table, tau_window(1, hi)) == weighted_averages(p), p
+        with pytest.raises(DomainError, match="tau table"):
+            weighted_averages(p, table, tau_window(1, hi - 1))
+
+
+def test_brute_tally_builds_the_rows_once(monkeypatch, capsys):
+    calls = []
+    build = curves._inverted_rows
+
+    def counted(p, table):
+        calls.append(p)
+        return build(p, table)
+
+    monkeypatch.setattr(curves, "_inverted_rows", counted)
+    for argv, built in ((["--tally"], [1009]), ([], [1009, 1009])):
+        assert cli.main(["brute", "--p", "1009", *argv]) == 0
+        assert calls == built
+    assert f"\n1,1008,{tally_structures(1009).counts[GroupShape(1, 1008)]}\n" in capsys.readouterr().out
 
 
 def test_supersingular_trend():

@@ -23,7 +23,13 @@ from ellstat.densities import (
 from ellstat import densities
 from ellstat.errors import BudgetError, DomainError
 from ellstat.groups import GroupShape
-from oracles import _bucket_count_level, _norm3, count_bucket_enum, count_trace_fixed_enum
+from oracles import (
+    _bucket_count_level,
+    _norm3,
+    count_bucket_enum,
+    count_trace_fixed_enum,
+    g_sum_by_buckets,
+)
 
 
 # ----------------------------------------------------------------------
@@ -240,6 +246,40 @@ def test_g_density_matches_bucket_count():
                     want = Fraction(cnt, _norm3(ell, R)) - Fraction(ell - 1, ell ** (R + 1))
                     assert g_density_tail(p, v, ell, R) == want, (ell, p, v, R)
                 R += 1
+
+
+def test_g_sum_closed_form_matches_bucket_sum():
+    # the telescoped sum against the buckets added one by one, at 4200 cases:
+    # levels below, at and above R, and above v_l(p - 1)
+    cases = 0
+    for ell in (2, 3, 5, 7, 11):
+        for p in primes_up_to(79):
+            if p == ell:
+                continue
+            for v in range(5):
+                for R in range(1, 9):
+                    assert g_sum(p, v, ell, R) == g_sum_by_buckets(p, v, ell, R), (ell, p, v, R)
+                    cases += 1
+    assert cases == 4200
+
+
+def test_g_sum_domain():
+    # the budget is checked first; every domain error of the bucket sum stays
+    with pytest.raises(BudgetError):
+        g_sum(11, 0, 11, 10**5)
+    for args in (
+        (11, 0, 5, 0),  # R < 1
+        (11, 0, 5, -3),
+        (11, 0, 4, 3),  # ell not prime
+        (12, 0, 5, 3),  # p not prime
+        (11, 0, 11, 3),  # ell = p
+        (11, -1, 5, 3),  # v < 0
+        (11, -1, 5, 1),
+    ):
+        with pytest.raises(DomainError):
+            g_sum(*args)
+        with pytest.raises(DomainError):
+            g_sum_by_buckets(*args)
 
 
 def test_g_density_tail_bucket():
