@@ -31,13 +31,12 @@ value: ``prob --norm paper`` and compare's ``*_paper`` columns.  Doubling
 is exact in floating point.
 
 Averages are read from class numbers with no tally; only ``brute --tally``
-builds one, from the same inverted rows as its averages.  sweep builds one
-Hurwitz class-number table up to 4 xmax (``arith.hurwitz_table``) and one
-divisor-function table up to xmax + 1 + isqrt(4 xmax) (``arith.tau_window``),
-and every prime reads 6H and tau from them; xmax above 10^6 exits 2.  brute
-and compare read the O(sqrt p) class numbers of one prime from one O(p) pass
-(``curves.sixfolds``) and sieve tau over short windows.  Their primes run
-from 5 to 10^6, where one prime takes about 1 s; a prime outside exits 2.
+builds one, from the same inverted rows as its averages.  This module sizes
+no table: sweep takes every prime's averages from ``curves.sweep_averages``,
+and brute and compare from ``curves.weighted_averages`` at one prime.  sweep
+exits 2 on an xmax above 10^6, and on an --out it cannot open before it
+computes any average.  brute and compare take primes from 5 to 10^6, where
+one prime takes about 1 s; a prime outside exits 2.
 """
 
 from __future__ import annotations
@@ -48,15 +47,14 @@ import math
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import analytic, curves, densities, divisor_ap
-from .arith import hurwitz_table, is_prime, primes_up_to, tau_window
+from .arith import is_prime
 from .errors import BudgetError, DomainError
 from .groups import GroupShape
 
 _BRUTE_MIN, _BRUTE_MAX = 5, 10**6  # a tally at 10^6 takes about 1 s and 30 MB
-_SWEEP_MAX = 10**6  # the class-number table holds 4 xmax + 1 ints
+_SWEEP_MAX = 10**6  # curves.sweep_averages' class-number table holds 4 xmax + 1 ints
 
 SWEEP_HEADER = [
     "x",
@@ -125,33 +123,24 @@ def cmd_brute(args: argparse.Namespace) -> None:
 # sweep
 # ----------------------------------------------------------------------
 
-def _sweep_row(p: int, table: list[int], taus: list[int]) -> list:
-    avg = curves.weighted_averages(p, table, taus)
-    return [p, avg.s_corrected, avg.s_printed, avg.c_corrected, avg.tau_N]
-
-
 def cmd_sweep(args: argparse.Namespace) -> None:
     """Per-prime averages for all primes 5 <= p <= xmax, one CSV row each."""
     xmax, out = args.xmax, args.out
     if xmax > _SWEEP_MAX:
         raise DomainError(f"sweep needs xmax <= {_SWEEP_MAX}, got {xmax}")
-    top = max(xmax, 0)
-    table = hurwitz_table(4 * top)
-    taus = tau_window(1, top + 1 + math.isqrt(4 * top))
-    rows = [_sweep_row(p, table, taus) for p in primes_up_to(xmax) if p >= 5]
     running = 0.0
     try:
-        with open(out, "w", newline="") as fh:
+        with open(out, "w", newline="") as fh:  # opened first: an unwritable --out costs no averages
+            averages = curves.sweep_averages(xmax)
             w = csv.writer(fh)
             w.writerow(SWEEP_HEADER)
-            for i, (p, s_corr, s_print, c_corr, tau_avg) in enumerate(rows, 1):
-                running += float(s_corr)
-                w.writerow(
-                    [p, p, _fmt(s_corr), _fmt(s_print), _fmt(c_corr), _fmt(tau_avg), _fmt(running / i)]
-                )
+            for i, (p, avg) in enumerate(averages.items(), 1):
+                running += float(avg.s_corrected)
+                values = (avg.s_corrected, avg.s_printed, avg.c_corrected, avg.tau_N, running / i)
+                w.writerow([p, p, *map(_fmt, values)])
     except OSError as exc:
         raise DomainError(f"cannot write {out}: {exc}") from exc
-    wrote_csv = f"wrote {out} ({len(rows)} rows)"
+    wrote_csv = f"wrote {out} ({len(averages)} rows)"
     if args.gnuplot:
         script = out + ".gp"
         try:
@@ -260,14 +249,9 @@ def cmd_f_ell(args: argparse.Namespace) -> None:
 
 def cmd_g_sum(args: argparse.Namespace) -> None:
     """Sum of the trace-valuation densities g(w, v) for w = 0..R (ell != p)."""
-    ell, p, R, v = args.ell, args.p, args.R, args.v
-    val = densities.g_sum(p, v, ell, R)
+    val = densities.g_sum(args.p, args.v, args.ell, args.R)
     print(f"value,{val}")
     print(f"float,{_fmt(val)}")
-    if v == 0:
-        delta = 1 if (p - 1) % ell == 0 else 0
-        pred = -Fraction(delta, ell * (ell * ell - 1)) + Fraction(1, ell ** (R + 1))
-        print(f"predicted,{pred}")
 
 
 # ----------------------------------------------------------------------
@@ -300,28 +284,11 @@ def cmd_mean_square(args: argparse.Namespace) -> None:
     print(f"ratio,{_fmt(res.ratio)}")
 
 
-def default_grid() -> list[tuple[int, int, int]]:
-    """The (A, B, q) grid of the mean-square experiment."""
-    out = []
-    for A in (10**4, 10**5, 10**6, 10**7):
-        windows = [
-            math.ceil(A**0.3),
-            math.ceil(A**0.4),
-            math.isqrt(A) + 1,
-        ]
-        qs = [1, 2, 8, 25, math.floor(A**0.25)]
-        for w in windows:
-            for q in qs:
-                if q * q <= A:
-                    out.append((A, A + w, q))
-    return out
-
-
 def cmd_grid(args: argparse.Namespace) -> None:
     """Run the mean-square experiment over the standard (A, B, q) grid."""
     out = args.out
     rows = []
-    for A, B, q in default_grid():
+    for A, B, q in divisor_ap.default_grid():
         res = divisor_ap.mean_square_experiment(A, B, q)
         rows.append([A, B, q, _fmt(res.lhs), _fmt(res.envelope), _fmt(res.ratio)])
     header = "A,B,q,lhs,envelope,ratio"

@@ -16,7 +16,7 @@ whole rows and leaves E_m: the models with d1 exactly m at the trace t of
 entry j number (p-1) E_m[j]/12.  The count is exact and deterministic;
 dividing by p(p-1) gives the 1/|Aut| weighting with total mass 1.
 
-``tally_structures`` lists those counts by shape.  ``weighted_averages``
+``tally_structures(p)`` lists those counts by shape.  ``weighted_averages(p)``
 needs no shape.  Z/m x Z/(N/m) has sum_{k | m} w(k) tau(m/k) tau(N/(mk))
 subgroups, w = phi (phi*mu for the cyclic ones), and the printed convention
 reads tau(N/k) for tau(N/(mk)).  Along row m these arguments step by m/k
@@ -24,13 +24,15 @@ and m^2/k, so each average times 12p is a sum of inner products of E_m
 with strided slices of a tau table, and tau_N is that of row 1 before
 inversion with tau(N).
 
-The sixfolds 6H come from ``arith``.  A sweep over many primes builds one
-``arith.hurwitz_table`` up to 4 xmax and one ``arith.tau_window(1, M)``,
-M = xmax + 1 + isqrt(4 xmax), and every prime reads both.  A single prime,
-which would pay about 1.4 p^1.5 steps for a class-number table up to 4p,
-asks ``arith.hurwitz_sixfolds`` for just the values its rows read instead
-(``sixfolds``): one O(p) pass over a.  Its tau values come from one sieved
-window [ceil(lo/q), floor(hi/q)] for each q that divides an argument.
+The sixfolds 6H come from ``arith``, and this module alone decides which
+kernel a run reads.  A single prime, which would pay about 1.4 p^1.5 steps
+for a class-number table up to 4p, asks ``arith.hurwitz_sixfolds`` for just
+the values its rows read: one O(p) pass over a.  Its tau values come from
+one sieved window [ceil(lo/q), floor(hi/q)] for each q that divides an
+argument.  ``sweep_averages(xmax)`` instead builds one ``arith.hurwitz_table``
+up to 4 xmax and one ``arith.tau_window(1, M)``, M = xmax + 1 + isqrt(4 xmax),
+and every prime p <= xmax reads both: its rows reach 6H(4p) and tau(p + 1 +
+isqrt(4p - 1)), which a prime xmax reads as the last entry of each table.
 
 The per-model point counts and group shapes that the tests hold the tally
 to, model by model, and the averages summed shape by shape, are in
@@ -50,12 +52,14 @@ from typing import NamedTuple
 from .arith import (
     factorize,
     hurwitz_sixfolds,
+    hurwitz_table,
     phi_prime_power,
     phi_star_mu_prime_power,
+    primes_up_to,
     require_p,
     tau_window,
 )
-from .errors import DomainError, InvariantError
+from .errors import InvariantError
 from .groups import SHAPE_STATS, GroupShape, statistic_field
 
 _STATS = (*SHAPE_STATS, "one")
@@ -143,6 +147,9 @@ def _row_starts(p: int, ms: list[int]) -> list[int]:
 
 
 def _sixfolds(p: int, ms: list[int], starts: list[int]) -> dict[int, int]:
+    """{D: 6H(D)} for every D that the rows read, from one
+    ``arith.hurwitz_sixfolds`` call: 4p - t^2 for 0 <= t <= isqrt(4p - 1)
+    (6H depends only on t^2), then (4p - t^2)/m^2 along every row m > 1."""
     four_p = 4 * p
     tmax = -starts[0]
     return hurwitz_sixfolds(
@@ -155,19 +162,12 @@ def _sixfolds(p: int, ms: list[int], starts: list[int]) -> dict[int, int]:
     )
 
 
-def sixfolds(p: int) -> dict[int, int]:
-    """{D: 6H(D)} for every D that Schoof's count at p reads, from one
-    ``arith.hurwitz_sixfolds`` call: 4p - t^2 for 0 <= t <= isqrt(4p - 1)
-    (6H depends only on t^2), then (4p - t^2)/m^2 along every row m > 1."""
-    require_p(p)
-    ms = [m for m, *_ in _row_divisors(p)]
-    return _sixfolds(p, ms, _row_starts(p, ms))
-
-
-def _inverted_rows(p: int, table: list[int] | dict[int, int] | None) -> _Rows:
+def _inverted_rows(p: int, table: list[int] | None = None) -> _Rows:
     """Every row of Schoof's count at p, checked and inverted.
 
-    ``table`` is as in ``tally_structures``.  Before inversion the rows must
+    6H(D) is read as ``table[D]``, from the sweep's ``arith.hurwitz_table``
+    up to at least 4p, or without a table from one ``arith.hurwitz_sixfolds``
+    call at the D that the rows read.  Before inversion the rows must
     give whole model counts (p-1) 6H/12, row 1 the mass sum_t 6H(4p - t^2)
     = 12p (Kronecker) and the moment sum_t (t^2 - p) 6H(4p - t^2) = -12
     (Birch); after it every E_m must be non-negative.  Each failure raises
@@ -180,14 +180,11 @@ def _inverted_rows(p: int, table: list[int] | dict[int, int] | None) -> _Rows:
     six = _sixfolds(p, ms, starts) if table is None else table
     four_p = 4 * p
     tmax = -starts[0]
-    try:
-        half = [six[four_p - t * t] for t in range(tmax + 1)]  # 6H depends only on t^2
-        rows = [half[:0:-1] + half] + [
-            [six[(four_p - t * t) // (m * m)] for t in range(t0, tmax + 1, m * m)]
-            for m, t0 in zip(ms[1:], starts[1:])
-        ]
-    except LookupError:
-        raise DomainError(f"Hurwitz table lacks a sixfold 6H(D), D <= {four_p}, that p={p} needs") from None
+    half = [six[four_p - t * t] for t in range(tmax + 1)]  # 6H depends only on t^2
+    rows = [half[:0:-1] + half] + [
+        [six[(four_p - t * t) // (m * m)] for t in range(t0, tmax + 1, m * m)]
+        for m, t0 in zip(ms[1:], starts[1:])
+    ]
     # every (p - 1) 6H/12 is whole iff (p - 1) times their gcd is a multiple of 12
     if (p - 1) * math.gcd(*chain.from_iterable(rows)) % 12:
         raise InvariantError(f"non-integral model count (p-1) 6H/12 at p={p}")
@@ -228,17 +225,15 @@ def _tally(rows: _Rows) -> StructureTally:
     )
 
 
-def tally_structures(p: int, table: list[int] | dict[int, int] | None = None) -> StructureTally:
+def tally_structures(p: int) -> StructureTally:
     """Exact tally of group shapes over all p^2 - p nonsingular models.
 
     The models with d1 exactly m at trace t number (p-1) E_m/12, E_m the
     inverted row m of ``_inverted_rows`` at t; they have the shape
-    (m, N/m^2), N = p + 1 - t.  6H(D) is read as ``table[D]``, from
-    ``arith.hurwitz_table(M)`` with M >= 4p or the ``sixfolds(p)`` dict, or
-    from ``sixfolds(p)`` without a table; all give the same tally, and a
-    table without a D that the count reads raises ``DomainError``.
+    (m, N/m^2), N = p + 1 - t.  The class numbers come from one
+    ``arith.hurwitz_sixfolds`` pass.
     """
-    return _tally(_inverted_rows(p, table))
+    return _tally(_inverted_rows(p))
 
 
 def empirical_probability(tally: StructureTally, shape: GroupShape) -> Fraction:
@@ -267,7 +262,7 @@ class TallyAverages(NamedTuple):
         return getattr(self, statistic_field(stat, formula, _STATS))
 
 
-def _averages(rows: _Rows, taus: list[int] | None) -> TallyAverages:
+def _averages(rows: _Rows, taus: list[int] | None = None) -> TallyAverages:
     p = rows.p
     lo, hi = hasse_window(p)
     stats = {m: rest for m, *rest in rows.divisors}
@@ -281,8 +276,6 @@ def _averages(rows: _Rows, taus: list[int] | None) -> TallyAverages:
     if taus is None:
         qs = {q for m, _, _ in live for k in stats if m % k == 0 for q in (k, m * k)}
         windows = {q: (tau_window(-(-lo // q), hi // q), -(-lo // q)) for q in qs}
-    elif len(taus) < hi:
-        raise DomainError(f"tau table ends at tau({len(taus)}), below the order {hi} that p={p} reads")
     else:
         windows = defaultdict(lambda: (taus, 1))
     s_corr = s_print = c_corr = c_print = 0
@@ -318,27 +311,36 @@ def _averages(rows: _Rows, taus: list[int] | None) -> TallyAverages:
     )
 
 
-def weighted_averages(
-    p: int, table: list[int] | dict[int, int] | None = None, taus: list[int] | None = None
-) -> TallyAverages:
+def weighted_averages(p: int) -> TallyAverages:
     """All weighted averages at p from the inverted rows, with no tally.
 
     Each average times 12p is sum_m sum_{k | m} w(k) tau(m/k) <E_m, tau(N/(mk))>
     (tau(N/k) in the printed convention), and tau_N times 12p is
-    <6H(4p - t^2), tau(N)> over the traces.  ``table`` is as in
-    ``tally_structures``.  ``taus`` is ``arith.tau_window(1, M)``, tau(n) at
-    ``taus[n - 1]``, with M >= p + 1 + isqrt(4p - 1); a shorter list raises
-    ``DomainError``.  Without it each q that divides an argument sieves its
-    own window of the Hasse interval divided by q.
+    <6H(4p - t^2), tau(N)> over the traces.  The class numbers come from one
+    ``arith.hurwitz_sixfolds`` pass, and each q that divides an argument
+    sieves its own window of the Hasse interval divided by q.
     """
-    return _averages(_inverted_rows(p, table), taus)
+    return _averages(_inverted_rows(p))
+
+
+def sweep_averages(xmax: int) -> dict[int, TallyAverages]:
+    """``weighted_averages(p)`` for every prime 5 <= p <= xmax, ascending.
+
+    Every prime reads one class-number table up to 4 xmax and one tau table
+    up to xmax + 1 + isqrt(4 xmax), the largest order that a prime xmax
+    reads.  The tables cost about 1.4 xmax^1.5 steps and 5 xmax ints.
+    """
+    top = max(xmax, 0)
+    table = hurwitz_table(4 * top)
+    taus = tau_window(1, top + 1 + math.isqrt(4 * top))
+    return {p: _averages(_inverted_rows(p, table), taus) for p in primes_up_to(xmax) if p >= 5}
 
 
 def _averages_and_tally(p: int) -> tuple[TallyAverages, StructureTally]:
     """``weighted_averages(p)`` and ``tally_structures(p)`` from one build of
     the inverted rows, as ``brute --tally`` prints them."""
-    rows = _inverted_rows(p, None)
-    return _averages(rows, None), _tally(rows)
+    rows = _inverted_rows(p)
+    return _averages(rows), _tally(rows)
 
 
 # Kept for perfbench, which times it as a span (spans.TARGETS); the CLI never calls it.

@@ -1,6 +1,7 @@
 """Exact divisor sums in arithmetic progressions and short intervals, the
 smooth Dirichlet main term D(X, a, q), the error statistic Delta, and the
-mean-square experiment against its two-branch envelope.
+mean-square experiment against its two-branch envelope, with the standard
+(A, B, q) grid it runs over.
 
 Exact sums come from two independent routes: a hyperbola-method count with
 the congruence folded into per-divisor progression counts (O(sqrt(X)),
@@ -187,3 +188,20 @@ def mean_square_experiment(A: float, B: float, q: int) -> MeanSquareResult:
     else:
         envelope, branch = max(short, long_), "boundary"
     return MeanSquareResult(lhs, envelope, lhs / envelope, branch)
+
+
+def default_grid() -> list[tuple[int, int, int]]:
+    """The (A, B, q) grid of the mean-square experiment."""
+    out = []
+    for A in (10**4, 10**5, 10**6, 10**7):
+        windows = [
+            math.ceil(A**0.3),
+            math.ceil(A**0.4),
+            math.isqrt(A) + 1,
+        ]
+        qs = [1, 2, 8, 25, math.floor(A**0.25)]
+        for w in windows:
+            for q in qs:
+                if q * q <= A:
+                    out.append((A, A + w, q))
+    return out

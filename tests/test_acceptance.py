@@ -12,8 +12,8 @@ from fractions import Fraction
 from conftest import record_acceptance
 
 from ellstat.analytic import K_FACTORS, cyclicity_probability, main_term
-from ellstat.arith import hurwitz_table, primes_up_to, ramanujan_sum, valuation
-from ellstat.curves import empirical_probability, tally_structures, weighted_averages
+from ellstat.arith import primes_up_to, ramanujan_sum, valuation
+from ellstat.curves import empirical_probability, sweep_averages, tally_structures, weighted_averages
 from ellstat.densities import f_ell, f_ell_closed, g_sum, probability_product
 from ellstat.divisor_ap import delta_at, mean_square_experiment
 from ellstat.groups import GroupShape, stat_on_shape
@@ -26,15 +26,14 @@ from oracles import (
 )
 
 _AVERAGES: dict[int, object] = {}
-_TABLE_P = 2423  # criterion 5's range: one class-number table serves its sweep
+_TABLE_P = 2423  # criterion 5's range: one sweep serves it
 
 
 def _averages(p):
-    """weighted_averages(p), read for every prime up to _TABLE_P from one
-    shared class-number table, as sweep reads them."""
+    """weighted_averages(p), read for every prime up to _TABLE_P from
+    sweep_averages(_TABLE_P), as ``sweep --xmax 2423`` reads them."""
     if not _AVERAGES:
-        table = hurwitz_table(4 * _TABLE_P)
-        _AVERAGES.update({q: weighted_averages(q, table) for q in primes_up_to(_TABLE_P)[2:]})
+        _AVERAGES.update(sweep_averages(_TABLE_P))
     if p not in _AVERAGES:
         _AVERAGES[p] = weighted_averages(p)
     return _AVERAGES[p]

@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -209,6 +210,17 @@ def test_sweep_gnuplot_unwritable_exit_2(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 7
 
 
+def test_sweep_unwritable_out_exits_before_the_averages(tmp_path, capsys, monkeypatch):
+    def refuse(xmax):
+        raise AssertionError("averages computed")
+
+    monkeypatch.setattr(curves, "sweep_averages", refuse)
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["sweep", "--xmax", "20000", "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith(f"error: cannot write {out}: "), err
+
+
 def test_sweep_thread_determinism(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_cli("sweep", "--xmax", "60", "--threads", "1", "--out", str(out1))[0] == 0
@@ -311,8 +323,7 @@ def test_density_f_ell():
 def test_density_g_sum():
     code, out, _ = run_cli("density", "g-sum", "--ell", "5", "--p", "11", "--R", "3")
     assert code == 0
-    rows = dict(line.split(",") for line in out.strip().splitlines())
-    assert rows["value"] == rows["predicted"]
+    assert out == "value,-101/15000\nfloat,-0.00673333333333\n"
     # the Frobenius law behind g is for ell != p
     code, _, _ = run_cli("density", "g-sum", "--ell", "11", "--p", "11", "--R", "3")
     assert code == 2
@@ -330,7 +341,7 @@ def test_density_g_sum_budget_exit_2(capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: g-sum budget"), err
     assert _stdout(capsys, "density", "g-sum", "--ell", "5", "--p", "11", "--R", "3") == (
-        "value,-101/15000\nfloat,-0.00673333333333\npredicted,-101/15000\n"
+        "value,-101/15000\nfloat,-0.00673333333333\n"
     )
 
 
@@ -341,7 +352,9 @@ def test_density_g_sum_largest_admitted_R_prints(capsys, ell, p):
     R = densities._G_SUM_BUDGET // ell.bit_length() - 4
     out = _stdout(capsys, "density", "g-sum", "--ell", str(ell), "--p", str(p), "--R", str(R))
     rows = dict(line.split(",") for line in out.splitlines())
-    assert rows["value"] == rows["predicted"] != ""
+    # v = 0 telescopes to 1/ell^(R+1), less 1/(ell (ell^2 - 1)) when ell | p - 1
+    delta = Fraction(1 if (p - 1) % ell == 0 else 0, ell * (ell * ell - 1))
+    assert Fraction(rows["value"]) == Fraction(1, ell ** (R + 1)) - delta
     assert main(["density", "g-sum", "--ell", str(ell), "--p", str(p), "--R", str(R + 1)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: g-sum budget"), err

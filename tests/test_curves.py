@@ -6,19 +6,12 @@ import numpy as np
 import pytest
 
 from ellstat import cli, curves
-from ellstat.arith import (
-    divisors,
-    factorize,
-    hurwitz_table,
-    primes_up_to,
-    tau_window,
-)
+from ellstat.arith import divisors, factorize, hurwitz_table, primes_up_to
 from ellstat.curves import (
     GroupShape,
     StructureTally,
     empirical_probability,
     hasse_window,
-    sixfolds,
     tally_structures,
     weighted_averages,
 )
@@ -138,15 +131,19 @@ def _reference_counts(p):
     return counts
 
 
+class _OracleSixfolds:
+    """6H(D) as ``oracle[D]``, from the per-value scan."""
+
+    def __getitem__(self, D):
+        return hurwitz_sixfold(D)
+
+
 def test_trace_sixfolds_match_per_trace_scan():
-    """The sixfolds one prime reads, one hurwitz_sixfolds call at 4p - t^2,
-    0 <= t <= isqrt(4p - 1), and at the rows' (4p - t^2)/n^2, against the
-    per-value scan."""
+    """Every row one prime reads from its hurwitz_sixfolds pass, before and
+    after inversion, against the rows read value by value from the scan."""
+    oracle = _OracleSixfolds()
     for p in primes_up_to(2999)[2:]:
-        Ds = [4 * p - t * t for t in range(math.isqrt(4 * p - 1) + 1)]
-        six = sixfolds(p)
-        assert list(six)[: len(Ds)] == Ds, p
-        assert list(six.values()) == [hurwitz_sixfold(D) for D in six], p
+        assert curves._inverted_rows(p, oracle) == curves._inverted_rows(p), p
 
 
 def test_tally_matches_per_trace_reference():
@@ -187,33 +184,26 @@ def test_full_level_n_model_counts():
 
 
 def test_tally_from_hurwitz_table_matches_table_free_tally():
-    """The sweep path (one shared table) against the single-prime path, the
-    per-trace reference and the X(n) closed forms, dict order included."""
+    """The rows the sweep reads from its shared class-number table against
+    the rows one prime reads from its own pass, and the tally they give
+    against the per-trace reference, dict order included."""
     table = hurwitz_table(4 * 1999)
     for p in primes_up_to(1999)[2:]:
-        counts = tally_structures(p, table).counts
-        assert list(counts.items()) == list(tally_structures(p).counts.items()), p
-        assert list(counts.items()) == list(_reference_counts(p).items()), p
-        _assert_level_n_closed_forms(p, counts)
-    for p, short in ((2003, table), (5, hurwitz_table(19)), (5, []), (5, {})):
-        with pytest.raises(DomainError, match="Hurwitz table"):
-            tally_structures(p, short)
-        with pytest.raises(DomainError, match="Hurwitz table"):
-            weighted_averages(p, short)
-    assert tally_structures(5, hurwitz_table(20)).counts == tally_structures(5).counts
+        rows = curves._inverted_rows(p, table)
+        assert rows == curves._inverted_rows(p), p
+        assert list(curves._tally(rows).counts.items()) == list(_reference_counts(p).items()), p
 
 
-def test_tally_from_sixfolds_dict():
-    """One sixfolds(p) dict passed as the table, for the averages and the
-    tally, against the table-free path; a dict without a row's D raises."""
-    for p in (*primes_up_to(400)[2:], 2003, 4999):
-        six = sixfolds(p)
-        assert list(tally_structures(p, six).counts.items()) == list(tally_structures(p).counts.items())
-        assert weighted_averages(p, six) == weighted_averages(p)
-    six = sixfolds(73)
-    del six[(4 * 73 - 2 * 2) // 9]  # t = 2: N = 72 has the rows n = 2, 3, 6
-    with pytest.raises(DomainError, match="Hurwitz table"):
-        tally_structures(73, six)
+def test_sweep_averages_match_single_prime_averages():
+    """The sweep's tables are sized to xmax: at a prime xmax the rows read
+    6H(4 xmax) and tau(xmax + 1 + isqrt(4 xmax)), the last entry of each.
+    Every prime's averages from them against weighted_averages(p), in
+    ascending p."""
+    single = {p: weighted_averages(p) for p in primes_up_to(2999)[2:]}
+    for x in range(5, 61):
+        assert list(curves.sweep_averages(x).items()) == [(p, a) for p, a in single.items() if p <= x], x
+    assert list(curves.sweep_averages(2999).items()) == list(single.items())
+    assert curves.sweep_averages(4) == curves.sweep_averages(-7) == {}
 
 
 def test_hasse_window_matches_hasse_admissible():
@@ -343,14 +333,12 @@ def test_weighted_averages_match_per_shape_convolution():
 
 def test_weighted_averages_match_averages_from_counts():
     """Averages read from the inverted rows and strided tau slices against
-    the per-shape sum over the tally's counts: with tau from per-q windows,
-    and with the sweep's class-number table with and without its tau table."""
-    table = hurwitz_table(4 * 2999)
-    taus = tau_window(1, 2999 + 1 + math.isqrt(4 * 2999))
+    the per-shape sum over the tally's counts: one prime's, with tau from
+    per-q windows, and the sweep's, from its two shared tables."""
+    sweep = curves.sweep_averages(2999)
     for p in primes_up_to(2999)[2:]:
         expected = averages_from_counts(tally_structures(p))
-        assert weighted_averages(p) == weighted_averages(p, table) == expected, p
-        assert weighted_averages(p, table, taus) == expected, p
+        assert weighted_averages(p) == sweep[p] == expected, p
     for p in (100003, 400009, 999983):
         averages, tally = curves._averages_and_tally(p)  # one row build, as brute --tally makes
         assert averages == averages_from_counts(tally), p
@@ -359,72 +347,59 @@ def test_weighted_averages_match_averages_from_counts():
 def test_trace_moments():
     """sum_t 6H(4p - t^2) = 12p (Kronecker) and sum_t (t^2 - p) 6H(4p - t^2)
     = -12 (Birch), t^2 < 4p, from the sweep's table and from one prime's
-    sixfolds."""
+    class-number pass."""
     table = hurwitz_table(4 * 2999)
     for p in [*primes_up_to(2999)[2:], 100003, 999983]:
-        six = table if p < 3000 else sixfolds(p)
-        h = [(t, six[4 * p - t * t]) for t in range(-math.isqrt(4 * p - 1), math.isqrt(4 * p - 1) + 1)]
-        assert sum(s for _, s in h) == 12 * p, p
-        assert sum((t * t - p) * s for t, s in h) == -12, p
+        ts = range(-math.isqrt(4 * p - 1), math.isqrt(4 * p - 1) + 1)
+        h = [table[4 * p - t * t] for t in ts] if p < 3000 else curves._inverted_rows(p).h
+        assert sum(h) == 12 * p, p
+        assert sum((t * t - p) * s for t, s in zip(ts, h)) == -12, p
 
 
 def test_trace_moment_catches_what_the_mass_misses():
     """Two cyclic traces' sixfolds swapped keep the mass, the integrality
     and every row, but not the fourth moment."""
     p = 1009
-    six = sixfolds(p)
+    six = hurwitz_table(4 * p)
     t1, t2 = 1, 3  # N = 1009, 1007 = 19 * 53: no n > 1 row
     D1, D2 = 4 * p - t1 * t1, 4 * p - t2 * t2
     assert six[D1] != six[D2]
     six[D1], six[D2] = six[D2], six[D1]
-    for read in (tally_structures, weighted_averages):
-        with pytest.raises(InvariantError, match="trace moment"):
-            read(p, six)
+    with pytest.raises(InvariantError, match="trace moment"):
+        curves._inverted_rows(p, six)
 
 
 def test_negative_inverted_row_raises():
     """A row-2 sixfold raised until E_1 < 0 at one trace keeps the mass, the
-    moment and, as 12 | p - 1 = 1008, integrality; both readers refuse it."""
+    moment and, as 12 | p - 1 = 1008, integrality; the rows refuse it."""
     p, t = 1009, 2  # N = 1008 = 2^4 3^2 7 lies on the rows 1, 2, 3, 4, 6, 12
     N = p + 1 - t
-    six = sixfolds(p)
-    e1 = 12 * tally_structures(p, six).counts[GroupShape(1, N)] // (p - 1)
+    six = hurwitz_table(4 * p)
+    e1 = 12 * tally_structures(p).counts[GroupShape(1, N)] // (p - 1)
     D = (4 * p - t * t) // 4
     assert e1 > 0 and D not in {4 * p - s * s for s in range(64)}  # not a row-1 sixfold
     six[D] += e1 + 1
-    for read in (tally_structures, weighted_averages):
-        with pytest.raises(InvariantError, match=f"negative inverted sixfold -1 for d1 = 1 at p={p}, t={t}"):
-            read(p, six)
+    with pytest.raises(InvariantError, match=f"negative inverted sixfold -1 for d1 = 1 at p={p}, t={t}"):
+        curves._inverted_rows(p, six)
 
 
 def test_non_integral_row_raises():
     """p - 1 = 1018 is not a multiple of 12, so a row-2 sixfold one too
     large gives a fractional model count."""
     p = 1019
-    six = sixfolds(p)
+    six = hurwitz_table(4 * p)
     D = 4 * p // 4  # t = 0, N = 1020: row 2
     assert D not in {4 * p - s * s for s in range(64)}
     six[D] += 1
-    for read in (tally_structures, weighted_averages):
-        with pytest.raises(InvariantError, match="non-integral"):
-            read(p, six)
-
-
-def test_short_tau_table_raises():
-    """A tau table that stops one order short of the Hasse window's top."""
-    table = hurwitz_table(4 * 1009)
-    for p in (5, 1009):
-        hi = hasse_window(p)[1]
-        assert weighted_averages(p, table, tau_window(1, hi)) == weighted_averages(p), p
-        with pytest.raises(DomainError, match="tau table"):
-            weighted_averages(p, table, tau_window(1, hi - 1))
+    with pytest.raises(InvariantError, match="non-integral"):
+        curves._inverted_rows(p, six)
 
 
 def test_brute_tally_builds_the_rows_once(monkeypatch, capsys):
     calls = []
     build = curves._inverted_rows
 
-    def counted(p, table):
+    def counted(p, table=None):
         calls.append(p)
         return build(p, table)
 
