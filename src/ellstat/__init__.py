@@ -14,12 +14,11 @@ from .arith import (
     divisors,
     factorize,
     kronecker_chi,
-    multiplicative_suite,
     primes_up_to,
     ramanujan_sum,
 )
 from .curves import StructureTally, empirical_probability, tally_structures
-from .densities import f_ell, f_ell_closed, f_infty, f_p_local, g_density, g_sum, probability_product
+from .densities import f_ell, f_ell_closed, f_infty, f_p_local, g_sum, probability_product
 from .divisor_ap import delta_window, dirichlet_main, mean_square_experiment, tau_sum_window
 from .errors import BudgetError, DomainError, InvariantError
 from .groups import GroupShape, stat_on_shape
@@ -42,13 +41,11 @@ __all__ = [
     "f_infty",
     "f_p_local",
     "factorize",
-    "g_density",
     "g_sum",
     "kronecker_chi",
     "local_factor",
     "main_term",
     "mean_square_experiment",
-    "multiplicative_suite",
     "primes_up_to",
     "probability_product",
     "ramanujan_sum",

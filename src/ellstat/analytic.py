@@ -36,8 +36,8 @@ followed by a geometric tail of ratio 1/l (``densities.frobenius_law``), so
 every expectation is an exact rational.  Away from p(p-1) the local factors are
 1 + 1/(l(l-1)) and delta_l = -2 log l/(l^2-l+1); their full product and
 sum are the constants zeta(2)zeta(3)/zeta(6) and ``_GENERIC_LOG_SUM``,
-corrected by the finitely many l | p(p-1).  Per-d1 components split each
-E_l by x = v_l(d1).
+corrected by the finitely many l | p(p-1).  For l | p - 1, E_l[f_l] and
+E_l[n f_l] are sums over the levels x <= e = v_l(p - 1) (``_local_moments``).
 
 Every value is at archimedean mass 1, as ``densities.f_infty`` is; the CLI
 prints the printed form's mass-2 value as twice it.  Which k_factor wins
@@ -52,14 +52,29 @@ for l | d1 as v = v_l(p-1) or v < v_l(p-1).  Its oracle, used by the tests
 only, is the normalized matrix count ``densities.level_congruence_count`` of
 the telescoped trace-congruence class at level R = 2v + 1.
 
-Every number in the printed form is a product of the primes of p - 1, so
-the one factorization of p - 1 gives them all: the divisors d1, u and the
-k | d1^2/u are generated from exponent vectors (``arith.exponent_divisors``),
-with phi, tau and the weight read from the exponents, and the local factors
-are computed once per d1; "C_local" reads each x = v_l(d1) from the same
-vectors.  Nothing above p - 1 is factored.  The per-k path, which factors
-each k and calls ``local_factor`` per prime, is the reference the tests
-compare with.
+Every factor of the printed summand is multiplicative in (d1, u, k) and
+lives on the primes of p - 1, and its logarithm splits as
+log(p+1) - log u - 2 log k.  So ``main_term`` reads one local sum per
+l^e || p - 1, from the one factorization of p - 1, with a = v_l(d1) <= e,
+b = v_l(u) <= a and c = v_l(k) <= C = 2a - b.  The sum over c is closed:
+with q = 1 - 1/l and K = E_l(a) for "B_inverse" (1 otherwise),
+
+    S0 = sum_c phi(l^c)/l^c / K^[c > 0] = 1 + C q/K,   S1 = q C(C+1)/(2K)
+
+for the same sum weighted by c.  With t = E_l(a) l^(-2a) w(l^b) (a-b+1),
+the local sums are A_l = sum t S0 and A'_l = sum t (b S0 + 2 S1) over
+a <= e, b <= a, and G_l = sum t, G'_l = sum t b for the trailing k = 1
+addend.  A logarithm summed against a multiplicative weight is the weight's
+product times the sum of the local log-weighted ratios, so
+
+    main term = (1/2) [prod A_l (L - sum_l log l A'_l/A_l)
+                       + prod G_l (L - sum_l log l G'_l/G_l)],
+
+with L = log(p+1) + 2 gamma.  "C_local" collapses the same way: the
+generic constants times prod_l EF_l (log_sum - sum_l log l ENF_l/EF_l),
+where EF_l and ENF_l sum ``_local_moments`` over x <= e.  Nothing above
+p - 1 is factored.  The expansions over every d1 | p - 1 (and u | d1,
+k | d1^2/u) are the tests' oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -70,7 +85,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import (
-    exponent_divisors,
     factorize,
     is_prime,
     phi_prime_power,
@@ -112,7 +126,6 @@ def cyclicity_probability(p: int) -> Fraction:
     return out
 
 
-@lru_cache(maxsize=None)
 def _euler_factor_at(p: int, ell: int, v: int) -> Fraction:
     """Exact local factor E_l for v = v_l(d1), any d1 | p - 1 with that v.
 
@@ -153,49 +166,56 @@ def euler_product(p: int, d1: int) -> Fraction:
 
 
 def main_term(p: int, stat: str = "s", k_factor: str = DEFAULT_K_FACTOR) -> float:
-    """Main-term value of the weighted average of stat over Ell(p)."""
-    return sum(main_term_components(p, stat, k_factor).values())
+    """Main-term value of the weighted average of stat over Ell(p).
 
-
-def main_term_components(p: int, stat: str = "s", k_factor: str = DEFAULT_K_FACTOR) -> dict[int, float]:
-    """Per-d1 contributions to the main term (keys are the divisors of p-1)."""
+    One local sum per l^e || p - 1, from the one factorization of p - 1
+    (module docstring); the primes away from p(p-1) enter "C_local" through
+    the two generic constants, corrected by the finitely many l | p(p-1).
+    """
     require_p(p)
     if stat not in ("s", "c"):
         raise DomainError(f"stat must be 's' or 'c', got {stat!r}")
     if k_factor not in K_FACTORS:
         raise DomainError(f"unknown k_factor {k_factor!r}")
-    if k_factor == "C_local":
-        return _local_components(p, stat)
     fac = factorize(p - 1)
-    primes = [ell for ell, _ in fac]
+    if k_factor == "C_local":
+        generic = _GENERIC_PRODUCT
+        log_sum = math.log(p + 1) + 2 * EULER_GAMMA - _GENERIC_LOG_SUM
+        for ell in [q for q, _ in fac] + [p]:
+            generic /= 1 + 1 / (ell * (ell - 1))
+            log_sum += 2 * math.log(ell) / (ell * ell - ell + 1)
+        prod = Fraction(1)
+        shift = 0.0
+        for ell, e in fac:
+            log_sum += 2 * math.log(ell) / (ell - 1)
+            ef, enf = map(sum, zip(*(_local_moments(ell, e, x, stat) for x in range(e + 1))))
+            prod *= ef
+            shift += math.log(ell) * float(enf / ef)
+        return generic * float(prod) * (log_sum - shift)
     weight = phi_prime_power if stat == "s" else phi_star_mu_prime_power
-    out: dict[int, float] = {}
-    for d1, a in exponent_divisors(fac):
-        factors = [_euler_factor_at(p, ell, v) for ell, v in zip(primes, a)]
-        # (k, phi(k), K(k)) for every k | d1^2, ascending.  K(k) is 1 for
-        # "A_unit"; for "B_inverse" it depends on k only through the primes
-        # dividing it, so it is formed once per set of primes.
-        K: dict[tuple[bool, ...], float] = {}
-        ks = []
-        for k, c in exponent_divisors(zip(primes, [2 * v for v in a])):
-            support = tuple(ck > 0 for ck in c) if k_factor == "B_inverse" else ()
-            if support not in K:
-                K[support] = float(math.prod(E for E, on in zip(factors, support) if on))
-            ks.append((k, math.prod(phi_prime_power(ell, ck) for ell, ck in zip(primes, c)), K[support]))
-        inner = 0.0
-        for u, b in exponent_divisors(zip(primes, a)):
-            wu = math.prod(weight(ell, bu) for ell, bu in zip(primes, b))
-            if wu == 0:
-                continue
-            m = d1 * d1 // u
-            ksum = 0.0
-            for k, phik, adj in ks:
-                if m % k == 0:
-                    ksum += (math.log((p + 1) / (u * k * k)) + 2 * EULER_GAMMA) * phik / k / adj
-            ksum += math.log((p + 1) / u) + 2 * EULER_GAMMA
-            inner += wu * math.prod(v - bu + 1 for v, bu in zip(a, b)) * ksum
-        out[d1] = float(math.prod(factors)) * inner / (d1 * d1) / 2
-    return out
+    L = math.log(p + 1) + 2 * EULER_GAMMA
+    prod_a = prod_g = 1.0
+    shift_a = shift_g = 0.0
+    for ell, e in fac:
+        q = 1 - 1 / ell
+        A = A_log = G = G_log = 0.0
+        for a in range(e + 1):
+            E = float(_euler_factor_at(p, ell, a))
+            K = E if k_factor == "B_inverse" else 1.0
+            for b in range(a + 1):
+                t = E * ell ** (-2 * a) * weight(ell, b) * (a - b + 1)
+                C = 2 * a - b
+                s0 = 1 + C * q / K  # sum over c <= C of phi(l^c)/l^c, c > 0 over K
+                s1 = q * C * (C + 1) / 2 / K  # the same sum weighted by c
+                A += t * s0
+                A_log += t * (b * s0 + 2 * s1)
+                G += t
+                G_log += t * b
+        prod_a *= A
+        prod_g *= G
+        shift_a += math.log(ell) * A_log / A
+        shift_g += math.log(ell) * G_log / G
+    return (prod_a * (L - shift_a) + prod_g * (L - shift_g)) / 2
 
 
 @lru_cache(maxsize=None)
@@ -217,33 +237,6 @@ def _local_moments(ell: int, e: int, x: int, stat: str) -> tuple[Fraction, Fract
     enf = a * n0 * f0 + b * (n0 * f0 * s0 + (f0 + n0 * beta) * s1 + beta * s2)
     c = 1 - Fraction(1, ell)
     return c * ef, c * enf
-
-
-def _local_components(p: int, stat: str) -> dict[int, float]:
-    """Per-d1 terms of the "C_local" main term at mass 1 (no enumeration).
-
-    The product over l | p - 1 of the level-split expectations is expanded
-    with x_l = v_l(d1); the primes away from p(p-1) enter through the two
-    generic constants, corrected by the finitely many l | p(p-1).
-    """
-    fac = factorize(p - 1)
-    generic = _GENERIC_PRODUCT
-    log_sum = math.log(p + 1) + 2 * EULER_GAMMA - _GENERIC_LOG_SUM
-    for ell in [q for q, _ in fac] + [p]:
-        generic /= 1 + 1 / (ell * (ell - 1))
-        log_sum += 2 * math.log(ell) / (ell * ell - ell + 1)
-    for ell, _ in fac:
-        log_sum += 2 * math.log(ell) / (ell - 1)
-    out: dict[int, float] = {}
-    for d1, xs in exponent_divisors(fac):
-        prod = Fraction(1)
-        shift = 0.0
-        for (ell, e), x in zip(fac, xs):
-            ef, enf = _local_moments(ell, e, x, stat)
-            prod *= ef
-            shift += math.log(ell) * float(enf / ef)
-        out[d1] = generic * float(prod) * (log_sum - shift)
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,8 @@ window, Ramanujan sums, quadratic characters and Hurwitz class numbers.
 
 Every function here returns exact integers; floating point never enters
 these kernels.  The production paths read phi and phi*mu in their
-prime-power forms; ``multiplicative_suite`` serves the tests.
+prime-power forms; the tests read tau, sigma, phi, mu and phi*mu of a whole
+integer from ``multiplicative_suite`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -158,20 +158,6 @@ def valuation(n: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class MultiplicativeSuite:
-    """The standard multiplicative statistics of one integer, exactly."""
-
-    n: int
-    tau: int
-    sigma: int
-    phi: int
-    mu: int
-    phi_star_mu: int
-    omega: int
-    rad: int
-
-
 def phi_prime_power(ell: int, e: int) -> int:
     """Euler's totient of the prime power l^e."""
     return ell ** (e - 1) * (ell - 1) if e else 1
@@ -182,24 +168,6 @@ def phi_star_mu_prime_power(ell: int, e: int) -> int:
     if e < 2:
         return ell - 2 if e else 1
     return ell ** (e - 2) * (ell - 1) ** 2
-
-
-def multiplicative_suite(n: int) -> MultiplicativeSuite:
-    """tau, sigma, phi, mu, phi*mu (Dirichlet), omega and rad of n, exactly.
-
-    phi*mu is the convolution of Euler's totient with the Moebius function.
-    """
-    fac = factorize(n)
-    tau = sigma = phi = rad = psm = 1
-    mu = 1
-    for p, e in fac:
-        tau *= e + 1
-        sigma *= (p ** (e + 1) - 1) // (p - 1)
-        phi *= phi_prime_power(p, e)
-        rad *= p
-        mu = 0 if e >= 2 else -mu
-        psm *= phi_star_mu_prime_power(p, e)
-    return MultiplicativeSuite(n, tau, sigma, phi, mu, psm, len(fac), rad)
 
 
 def tau_window(lo: int, hi: int) -> list[int]:

@@ -14,10 +14,12 @@ No production path loops over matrices or residues.  The fixed-trace count
 is a sum of O(R) root counts of one quadratic modulo l^k, i.e. square roots
 of D/l^(2u) evaluated with the quadratic character (Gekeler, IMRN 2003,
 section 4, with the congruence level added), and g reads the closed-form
-Frobenius law pi_l(x, n) of (level, v_l(N)) (``frobenius_law``).  The
-matrix enumerations that the tests hold these to are in ``tests/oracles.py``;
-only the telescoped congruence-class count ``level_congruence_count``, which
-perfbench times, stays at the end of the module.
+Frobenius law pi_l(x, n) of (level, v_l(N)) (``frobenius_law``), whose
+bucket masses ``g_sum`` telescopes in closed form.  The matrix enumerations
+that the tests hold these to, and the g densities one bucket at a time, are
+in ``tests/oracles.py``; only the telescoped congruence-class count
+``level_congruence_count``, which perfbench times, stays at the end of the
+module.
 
 All densities are exact ``Fraction`` values; floats appear only in the
 archimedean factor and in truncated products.  The product's factor at a
@@ -246,39 +248,6 @@ def f_p_local(p: int, N: int) -> Fraction:
     """Local factor at the characteristic: 1 + 1/(p-1) unless p | N - 1."""
     require_p(p)
     return Fraction(1) if (N - 1) % p == 0 else 1 + Fraction(1, p - 1)
-
-
-def g_density(p: int, w: int, v: int, ell: int, R: int) -> Fraction:
-    """Trace-valuation matrix density g(w, v) at level R, exactly.
-
-    The normalized count of matrices with det = p, v_l(p + 1 - tr) = w and
-    congruence level exactly v, i.e. pi_l(v, w) read from ``frobenius_law``
-    (0 for v > v_l(p - 1)), minus (1 - 1/l)/l^w.  Requires w < R and l != p.
-    """
-    _check_prime(ell, "ell")
-    _check_prime(p, "p")
-    if w < 0 or w >= R:
-        raise DomainError(f"need 0 <= w < R, got w={w}, R={R}")
-    if ell == p:
-        raise DomainError(f"the Frobenius law needs ell != p, got ell=p={p}")
-    mass = law_tail(p, v, ell, w) - law_tail(p, v, ell, w + 1)
-    return mass - Fraction(ell - 1, ell ** (w + 1))
-
-
-def g_density_tail(p: int, v: int, ell: int, R: int) -> Fraction:
-    """The w = R bucket of the g-density sum, meaning v_l(p + 1 - tr) >= R.
-
-    Its mass is sum_{n >= R} pi_l(v, n), or 0 when v >= R: modulo l^R no
-    matrix then has level exactly v.
-    """
-    _check_prime(ell, "ell")
-    _check_prime(p, "p")
-    if R < 1:
-        raise DomainError(f"need R >= 1, got R={R}")
-    if ell == p:
-        raise DomainError(f"the Frobenius law needs ell != p, got ell=p={p}")
-    mass = law_tail(p, v, ell, R) if v < R else Fraction(0)
-    return mass - Fraction(ell - 1, ell ** (R + 1))
 
 
 #: The exact sum has at most (R + 4 + 3v) log2 l bits above and below (the 3v

@@ -8,8 +8,8 @@ Each oracle computes by another route, mostly by enumeration, what
   ``arith.hurwitz_table``, and the Ramanujan sum from its prime-power values
   (``ramanujan_von_sterneck``) for ``arith.ramanujan_sum``;
 * ``tau``, ``sigma``, ``phi``, ``mu`` and ``phi_star_mu`` of one integer,
-  each read from ``arith.multiplicative_suite`` (memoized here, for the
-  tests that sweep many small n);
+  each read from ``multiplicative_suite`` (memoized, for the tests that
+  sweep many small n), which multiplies the prime-power forms of ``arith``;
 * per-model point counts and group shapes (``point_count``, ``group_shape``)
   for ``curves.tally_structures``; ``group_shape`` finds the exponent by a
   deterministic scan of all points.  ``hasse_admissible`` tests one order
@@ -21,8 +21,13 @@ Each oracle computes by another route, mostly by enumeration, what
 * matrix enumerations over Z/l^R (``count_trace_fixed_enum``,
   ``count_bucket_enum``) and the bucket count summed from fixed-trace counts
   (``_bucket_count_level``, normalized by ``_norm3``) for the root counts of
-  ``densities`` and the Frobenius law, and the g densities summed bucket by
+  ``densities`` and the Frobenius law, and the g densities (``g_density``,
+  ``g_density_tail``, read from ``densities.law_tail``) summed bucket by
   bucket (``g_sum_by_buckets``) for the closed form of ``densities.g_sum``;
+* the main term expanded over every d1 | p - 1 (``c_local_components``), and
+  for the printed forms over every u | d1 and k | d1^2/u as well
+  (``printed_main_term_components``), for the product of local sums in
+  ``analytic.main_term``;
 * ``subgroup_count`` and ``cyclic_subgroup_count`` for
   ``groups.shape_statistics``, in two flavours, and the lattice enumeration
   ``subgroup_oracle`` that checks both on small groups:
@@ -39,21 +44,70 @@ from __future__ import annotations
 
 import math
 import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from ellstat.arith import divisors, factorize, multiplicative_suite, require_p, valuation
+from ellstat.analytic import (
+    _GENERIC_LOG_SUM,
+    _GENERIC_PRODUCT,
+    EULER_GAMMA,
+    _euler_factor_at,
+    _local_moments,
+)
+from ellstat.arith import (
+    divisors,
+    exponent_divisors,
+    factorize,
+    phi_prime_power,
+    phi_star_mu_prime_power,
+    require_p,
+    valuation,
+)
 from ellstat.curves import StructureTally, TallyAverages
-from ellstat.densities import _count_trace_fixed_level, g_density, g_density_tail
+from ellstat.densities import _check_prime, _count_trace_fixed_level, law_tail
 from ellstat.errors import BudgetError, DomainError, InvariantError
 from ellstat.groups import GroupShape, _check_mn, shape_statistics
 
 # ----------------------------------------------------------------------
 # one value at a time (oracles of arith)
 # ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MultiplicativeSuite:
+    """The standard multiplicative statistics of one integer, exactly."""
+
+    n: int
+    tau: int
+    sigma: int
+    phi: int
+    mu: int
+    phi_star_mu: int
+    omega: int
+    rad: int
+
+
+def multiplicative_suite(n: int) -> MultiplicativeSuite:
+    """tau, sigma, phi, mu, phi*mu (Dirichlet), omega and rad of n, exactly.
+
+    phi*mu is the convolution of Euler's totient with the Moebius function.
+    """
+    fac = factorize(n)
+    tau = sigma = phi = rad = psm = 1
+    mu = 1
+    for p, e in fac:
+        tau *= e + 1
+        sigma *= (p ** (e + 1) - 1) // (p - 1)
+        phi *= phi_prime_power(p, e)
+        rad *= p
+        mu = 0 if e >= 2 else -mu
+        psm *= phi_star_mu_prime_power(p, e)
+    return MultiplicativeSuite(n, tau, sigma, phi, mu, psm, len(fac), rad)
+
 
 _suite = lru_cache(maxsize=1 << 16)(multiplicative_suite)
 
@@ -286,6 +340,39 @@ def _bucket_count_level(p: int, w: int, v: int, ell: int, R: int) -> int:
     )
 
 
+def g_density(p: int, w: int, v: int, ell: int, R: int) -> Fraction:
+    """Trace-valuation matrix density g(w, v) at level R, exactly.
+
+    The normalized count of matrices with det = p, v_l(p + 1 - tr) = w and
+    congruence level exactly v, i.e. pi_l(v, w) read from ``frobenius_law``
+    (0 for v > v_l(p - 1)), minus (1 - 1/l)/l^w.  Requires w < R and l != p.
+    """
+    _check_prime(ell, "ell")
+    _check_prime(p, "p")
+    if w < 0 or w >= R:
+        raise DomainError(f"need 0 <= w < R, got w={w}, R={R}")
+    if ell == p:
+        raise DomainError(f"the Frobenius law needs ell != p, got ell=p={p}")
+    mass = law_tail(p, v, ell, w) - law_tail(p, v, ell, w + 1)
+    return mass - Fraction(ell - 1, ell ** (w + 1))
+
+
+def g_density_tail(p: int, v: int, ell: int, R: int) -> Fraction:
+    """The w = R bucket of the g-density sum, meaning v_l(p + 1 - tr) >= R.
+
+    Its mass is sum_{n >= R} pi_l(v, n), or 0 when v >= R: modulo l^R no
+    matrix then has level exactly v.
+    """
+    _check_prime(ell, "ell")
+    _check_prime(p, "p")
+    if R < 1:
+        raise DomainError(f"need R >= 1, got R={R}")
+    if ell == p:
+        raise DomainError(f"the Frobenius law needs ell != p, got ell=p={p}")
+    mass = law_tail(p, v, ell, R) if v < R else Fraction(0)
+    return mass - Fraction(ell - 1, ell ** (R + 1))
+
+
 def g_sum_by_buckets(p: int, v: int, ell: int, R: int) -> Fraction:
     """sum_{w < R} g(w, v) plus the tail bucket w = R, term by term."""
     return sum(g_density(p, w, v, ell, R) for w in range(R)) + g_density_tail(p, v, ell, R)
@@ -343,6 +430,80 @@ def count_bucket_enum(p: int, w: int, v: int, ell: int, R: int) -> int:
                 cnt -= int((ok & pair_v1).sum())
             total += cnt
     return total
+
+
+# ----------------------------------------------------------------------
+# per-d1 expansions of the main term (oracle of analytic.main_term)
+# ----------------------------------------------------------------------
+
+
+def printed_main_term_components(p: int, stat: str, k_factor: str) -> dict[int, float]:
+    """Per-d1 contributions to the printed main term (keys are the divisors
+    of p-1): the expansion over d1 | p - 1, u | d1 and k | d1^2/u that
+    ``analytic.main_term`` sums as one product of local sums."""
+    require_p(p)
+    if stat not in ("s", "c"):
+        raise DomainError(f"stat must be 's' or 'c', got {stat!r}")
+    if k_factor not in ("A_unit", "B_inverse"):
+        raise DomainError(f"not a printed k_factor: {k_factor!r}")
+    fac = factorize(p - 1)
+    primes = [ell for ell, _ in fac]
+    weight = phi_prime_power if stat == "s" else phi_star_mu_prime_power
+    out: dict[int, float] = {}
+    for d1, a in exponent_divisors(fac):
+        factors = [_euler_factor_at(p, ell, v) for ell, v in zip(primes, a)]
+        # (k, phi(k), K(k)) for every k | d1^2, ascending.  K(k) is 1 for
+        # "A_unit"; for "B_inverse" it depends on k only through the primes
+        # dividing it, so it is formed once per set of primes.
+        K: dict[tuple[bool, ...], float] = {}
+        ks = []
+        for k, c in exponent_divisors(zip(primes, [2 * v for v in a])):
+            support = tuple(ck > 0 for ck in c) if k_factor == "B_inverse" else ()
+            if support not in K:
+                K[support] = float(math.prod(E for E, on in zip(factors, support) if on))
+            ks.append((k, math.prod(phi_prime_power(ell, ck) for ell, ck in zip(primes, c)), K[support]))
+        inner = 0.0
+        for u, b in exponent_divisors(zip(primes, a)):
+            wu = math.prod(weight(ell, bu) for ell, bu in zip(primes, b))
+            if wu == 0:
+                continue
+            m = d1 * d1 // u
+            ksum = 0.0
+            for k, phik, adj in ks:
+                if m % k == 0:
+                    ksum += (math.log((p + 1) / (u * k * k)) + 2 * EULER_GAMMA) * phik / k / adj
+            ksum += math.log((p + 1) / u) + 2 * EULER_GAMMA
+            inner += wu * math.prod(v - bu + 1 for v, bu in zip(a, b)) * ksum
+        out[d1] = float(math.prod(factors)) * inner / (d1 * d1) / 2
+    return out
+
+
+def c_local_components(p: int, stat: str) -> dict[int, float]:
+    """Per-d1 terms of the "C_local" main term at mass 1 (no enumeration).
+
+    The product over l | p - 1 of the level-split expectations is expanded
+    with x_l = v_l(d1); the primes away from p(p-1) enter through the two
+    generic constants, corrected by the finitely many l | p(p-1).
+    """
+    fac = factorize(p - 1)
+    generic = _GENERIC_PRODUCT
+    log_sum = math.log(p + 1) + 2 * EULER_GAMMA - _GENERIC_LOG_SUM
+    for ell in [q for q, _ in fac] + [p]:
+        generic /= 1 + 1 / (ell * (ell - 1))
+        log_sum += 2 * math.log(ell) / (ell * ell - ell + 1)
+    for ell, _ in fac:
+        log_sum += 2 * math.log(ell) / (ell - 1)
+    out: dict[int, float] = {}
+    for d1, xs in exponent_divisors(fac):
+        prod = Fraction(1)
+        shift = 0.0
+        for (ell, e), x in zip(fac, xs):
+            ef, enf = _local_moments(ell, e, x, stat)
+            prod *= ef
+            shift += math.log(ell) * float(enf / ef)
+        out[d1] = generic * float(prod) * (log_sum - shift)
+    return out
+
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import functools
 import math
 from fractions import Fraction
 
@@ -16,14 +15,21 @@ from ellstat.analytic import (
     frobenius_law,
     local_factor,
     main_term,
-    main_term_components,
 )
 from ellstat import analytic, arith
 from ellstat.arith import divisors, factorize, is_prime, primes_up_to, valuation
 from ellstat.curves import weighted_averages
 from ellstat.densities import _count_trace_fixed_level, level_congruence_count
 from ellstat.errors import DomainError
-from oracles import _bucket_count_level, _norm3, phi, phi_star_mu, tau
+from oracles import (
+    _bucket_count_level,
+    _norm3,
+    c_local_components,
+    phi,
+    phi_star_mu,
+    printed_main_term_components,
+    tau,
+)
 
 
 def test_cyclicity_examples():
@@ -131,7 +137,7 @@ def test_local_factor_r_ladder_stability():
 def test_main_term_d1_1_collapse():
     # the d1 = 1 term is 2 (log(p+1) + 2 gamma) * prod_{l | p-1} (1 - 1/(l(l^2-1)))
     for p in (11, 23, 101):
-        half = main_term_components(p, "s", "A_unit")
+        half = printed_main_term_components(p, "s", "A_unit")
         want = 2 * (math.log(p + 1) + 2 * EULER_GAMMA) * float(
             euler_product(p, 1)
         )
@@ -139,47 +145,16 @@ def test_main_term_d1_1_collapse():
         assert half[1] == pytest.approx(want / 2, rel=1e-12)
 
 
-def _printed_components_per_k(p, stat, k_factor):
-    """Reference for the printed forms at archimedean mass 2: every
-    divisor k of d1^2/u is factored, and K(k) multiplies local_factor over
-    its primes.  local_factor is memoized per call only to keep the test fast."""
-    weight = phi if stat == "s" else phi_star_mu
-    factor = functools.lru_cache(maxsize=None)(local_factor)
-    out = {}
-    for d1 in divisors(p - 1):
-        prod = float(euler_product(p, d1))
-        inner = 0.0
-        for u in divisors(d1):
-            wu = weight(u)
-            if wu == 0:
-                continue
-            ksum = 0.0
-            for k in divisors(d1 * d1 // u):
-                term = (math.log((p + 1) / (u * k * k)) + 2 * EULER_GAMMA) * phi(k) / k
-                if k_factor == "B_inverse" and k > 1:
-                    adj = Fraction(1)
-                    for ell, _ in factorize(k):
-                        adj *= factor(p, d1, ell)
-                    term /= float(adj)
-                ksum += term
-            ksum += math.log((p + 1) / u) + 2 * EULER_GAMMA
-            inner += wu * tau(d1 // u) * ksum
-        out[d1] = prod * inner / (d1 * d1)
-    return out
-
-
-def test_printed_components_match_per_k_reference():
-    # exact float equality: the summation order over d1, u and k is the same
-    for p in primes_up_to(1000):
-        if p < 5:
-            continue
-        for stat in ("s", "c"):
-            for k_factor in ("A_unit", "B_inverse"):
-                want = _printed_components_per_k(p, stat, k_factor)
-                half = main_term_components(p, stat, k_factor)
-                got = {d1: 2 * v for d1, v in half.items()}
-                assert list(got) == list(want) and got == want, (p, stat, k_factor)
-                assert half == {d1: v / 2 for d1, v in want.items()}, (p, stat, k_factor)
+def test_main_term_matches_per_d1_oracles():
+    # the product of local sums against the expansion over every d1 | p - 1
+    # (and u | d1, k | d1^2/u for the printed forms); 982801 - 1 has 240 divisors
+    cases = [(p, stat, k) for p in primes_up_to(2999) if p >= 5 for stat in ("s", "c") for k in K_FACTORS]
+    for p, stat, k_factor in cases + [(982801, "s", "B_inverse"), (982801, "s", "C_local")]:
+        if k_factor == "C_local":
+            want = sum(c_local_components(p, stat).values())
+        else:
+            want = sum(printed_main_term_components(p, stat, k_factor).values())
+        assert main_term(p, stat, k_factor) == pytest.approx(want, rel=1e-13), (p, stat, k_factor)
 
 
 def test_printed_main_term_factors_nothing_above_p_minus_1(monkeypatch):
@@ -352,9 +327,9 @@ def test_generic_local_factors_and_constants():
 def test_main_term_c_local_components():
     for p in (11, 101, 211, 1009):
         for stat in ("s", "c"):
-            comp = main_term_components(p, stat, "C_local")
+            comp = c_local_components(p, stat)
             assert list(comp) == divisors(p - 1)
-            assert sum(comp.values()) == main_term(p, stat, "C_local")
+            assert sum(comp.values()) == pytest.approx(main_term(p, stat, "C_local"), rel=1e-13)
 
 
 def test_main_term_c_local_agrees_with_brute_force():

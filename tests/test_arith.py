@@ -17,7 +17,6 @@ from ellstat.arith import (
     hurwitz_table,
     is_prime,
     kronecker_chi,
-    multiplicative_suite,
     phi_prime_power,
     phi_star_mu_prime_power,
     primes_up_to,
@@ -27,7 +26,16 @@ from ellstat.arith import (
     valuation,
 )
 from ellstat.errors import DomainError
-from oracles import hurwitz_sixfold, mu, phi, phi_star_mu, ramanujan_von_sterneck, sigma, tau
+from oracles import (
+    hurwitz_sixfold,
+    mu,
+    multiplicative_suite,
+    phi,
+    phi_star_mu,
+    ramanujan_von_sterneck,
+    sigma,
+    tau,
+)
 
 
 def test_primes_up_to_examples():

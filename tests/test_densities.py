@@ -11,8 +11,6 @@ from ellstat.densities import (
     f_ell_closed,
     f_infty,
     f_p_local,
-    g_density,
-    g_density_tail,
     g_sum,
     probability_product,
     _count_trace_fixed,
@@ -28,6 +26,8 @@ from oracles import (
     _norm3,
     count_bucket_enum,
     count_trace_fixed_enum,
+    g_density,
+    g_density_tail,
     g_sum_by_buckets,
 )
 
