@@ -82,7 +82,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .arith import (
     factorize,
@@ -218,7 +217,6 @@ def main_term(p: int, stat: str = "s", k_factor: str = DEFAULT_K_FACTOR) -> floa
     return (prod_a * (L - shift_a) + prod_g * (L - shift_g)) / 2
 
 
-@lru_cache(maxsize=None)
 def _local_moments(ell: int, e: int, x: int, stat: str) -> tuple[Fraction, Fraction]:
     """(1 - 1/l) E_l[f 1_x] and (1 - 1/l) E_l[n f 1_x] at level x, exactly.
 

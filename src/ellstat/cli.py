@@ -113,9 +113,8 @@ def cmd_brute(args: argparse.Namespace) -> None:
     lines = ["stat,value"]
     lines += [f"{name},{_fmt(averages.select(_STAT_NAMES[name], formula))}" for name in names]
     if args.show_tally:
-        counts = tally.counts
         lines.append("d1,d2,count")
-        lines += [f"{shape.d1},{shape.d2},{counts[shape]}" for shape in sorted(counts)]
+        lines += [f"{d1},{d2},{count}" for (d1, d2), count in tally.counts.items()]
     print("\n".join(lines))
 
 
@@ -147,7 +146,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
             with open(script, "w") as fh:
                 fh.write(
                     'set datafile separator ","\n'
-                    f'plot "{out}" using (log($1)):7 with points title "running mean", '
+                    f'plot "{out}" using (log($1)):($3/2) with points title "avg s corrected, half mass", '
                     "1.053*x title \"1.053 log x\"\n"
                 )
         except OSError as exc:

@@ -8,13 +8,13 @@ Hurwitz class number.  A class occupies (p-1)/|Aut(E)| models, so
 from the sixfold 6H; E[m] is rational exactly when m | d1.
 
 ``_inverted_rows`` reads the count one row at a time.  Row m, for each
-m | p-1 with m^2 <= p + 1 + isqrt(4p - 1), holds F_m[j] = 6H((4p - t^2)/m^2)
-at the traces t = t0 + j m^2 of the Hasse window with m^2 | N = p + 1 - t.
-The traces of a proper multiple m' of m are the strided slice
-[off::(m'/m)^2] of row m, so Moebius inversion, largest m first, subtracts
-whole rows and leaves E_m: the models with d1 exactly m at the trace t of
-entry j number (p-1) E_m[j]/12.  The count is exact and deterministic;
-dividing by p(p-1) gives the 1/|Aut| weighting with total mass 1.
+m | p-1 with m^2 <= p + 1 + isqrt(4p - 1), holds F_m[j] = 6H((4p - t^2)/m^2),
+t = p + 1 - N, at the orders N = N0 + j m^2 of the Hasse window, N0 the
+least multiple of m^2 in it.  The orders of a proper multiple m' of m are
+the strided slice [off::(m'/m)^2] of row m, so Moebius inversion, largest m
+first, subtracts whole rows and leaves E_m: the models of shape
+(m, N0/m^2 + j) number (p-1) E_m[j]/12.  The count is exact and
+deterministic; dividing by p(p-1) gives the 1/|Aut| weighting, mass 1.
 
 ``tally_structures(p)`` lists those counts by shape.  ``weighted_averages(p)``
 needs no shape.  Z/m x Z/(N/m) has sum_{k | m} w(k) tau(m/k) tau(N/(mk))
@@ -68,7 +68,7 @@ _STATS = (*SHAPE_STATS, "one")
 @dataclass(frozen=True)
 class StructureTally:
     """Exact count of nonsingular models per group shape Z/d1 x Z/(d1*d2) for
-    one prime, in ascending trace t = p + 1 - N and then ascending d1.
+    one prime, in ascending d1 and then ascending d2.
 
     Construction checks the tally: a d1 that does not divide p-1, an order
     outside the Hasse interval, a count below 1 or a mass other than p(p-1)
@@ -108,9 +108,9 @@ class _Rows(NamedTuple):
     """Schoof's count at p by rows m | p-1, Moebius-inverted.
 
     ``divisors`` holds (m, tau(m), phi(m), (phi*mu)(m)) for each row, m
-    ascending; ``starts`` the trace t0 of each row's entry 0; ``h`` row 1
-    before inversion, 6H(4p - t^2) for ascending t; ``inverted`` every
-    row's E_m.
+    ascending; ``starts`` the order N0 of each row's entry 0; ``h`` row 1
+    before inversion, 6H(4p - t^2) for ascending N = p + 1 - t; ``inverted``
+    every row's E_m.
     """
 
     p: int
@@ -141,23 +141,24 @@ def _row_divisors(p: int) -> list[tuple[int, int, int, int]]:
 
 
 def _row_starts(p: int, ms: list[int]) -> list[int]:
-    """For each m, the least t >= -isqrt(4p - 1) with t = p + 1 (mod m^2)."""
-    tmax = math.isqrt(4 * p - 1)
-    return [-tmax + (p + 1 + tmax) % (m * m) for m in ms]
+    """For each m, the least multiple of m^2 that is at least
+    p + 1 - isqrt(4p - 1), the least order of the Hasse window."""
+    lo = hasse_window(p)[0]
+    return [-(-lo // (m * m)) * m * m for m in ms]
 
 
 def _sixfolds(p: int, ms: list[int], starts: list[int]) -> dict[int, int]:
     """{D: 6H(D)} for every D that the rows read, from one
     ``arith.hurwitz_sixfolds`` call: 4p - t^2 for 0 <= t <= isqrt(4p - 1)
     (6H depends only on t^2), then (4p - t^2)/m^2 along every row m > 1."""
-    four_p = 4 * p
-    tmax = -starts[0]
+    four_p, top = 4 * p, p + 1
+    tmax = top - starts[0]
     return hurwitz_sixfolds(
         [four_p - t * t for t in range(tmax + 1)]
         + [
             (four_p - t * t) // (m * m)
-            for m, t0 in zip(ms[1:], starts[1:])
-            for t in range(t0, tmax + 1, m * m)
+            for m, n0 in zip(ms[1:], starts[1:])
+            for t in range(top - n0, -tmax - 1, -m * m)
         ]
     )
 
@@ -178,12 +179,12 @@ def _inverted_rows(p: int, table: list[int] | None = None) -> _Rows:
     ms = [m for m, *_ in divs]
     starts = _row_starts(p, ms)
     six = _sixfolds(p, ms, starts) if table is None else table
-    four_p = 4 * p
-    tmax = -starts[0]
+    four_p, top = 4 * p, p + 1
+    tmax = top - starts[0]
     half = [six[four_p - t * t] for t in range(tmax + 1)]  # 6H depends only on t^2
     rows = [half[:0:-1] + half] + [
-        [six[(four_p - t * t) // (m * m)] for t in range(t0, tmax + 1, m * m)]
-        for m, t0 in zip(ms[1:], starts[1:])
+        [six[(four_p - t * t) // (m * m)] for t in range(top - n0, -tmax - 1, -m * m)]
+        for m, n0 in zip(ms[1:], starts[1:])
     ]
     # every (p - 1) 6H/12 is whole iff (p - 1) times their gcd is a multiple of 12
     if (p - 1) * math.gcd(*chain.from_iterable(rows)) % 12:
@@ -192,45 +193,43 @@ def _inverted_rows(p: int, table: list[int] | None = None) -> _Rows:
     mass = sum(h)
     if mass != 12 * p:
         raise InvariantError(f"sum of 6H(4p - t^2) is {mass}, not 12p = {12 * p}, at p={p}")
-    ts = range(-tmax, tmax + 1)
+    ts = range(tmax, -tmax - 1, -1)  # the traces of row 1, N ascending
     moment = sum(map(operator.mul, map(operator.mul, ts, ts), h)) - p * mass
     if moment != -12:
         raise InvariantError(f"trace moment sum (t^2 - p) 6H(4p - t^2) is {moment}, not -12, at p={p}")
     inverted = [h.copy(), *rows[1:]]
     # largest m first: E_m = F_m less E_m' of every proper multiple m' of m,
-    # whose traces are the entries off, off + (m'/m)^2, ... of row m
+    # whose orders are the entries off, off + (m'/m)^2, ... of row m
     for i in range(len(ms) - 2, -1, -1):
         m, e = ms[i], inverted[i]
         for j in range(i + 1, len(ms)):
             if ms[j] % m == 0:
                 off, step = (starts[j] - starts[i]) // (m * m), (ms[j] // m) ** 2
                 e[off::step] = map(operator.sub, e[off::step], inverted[j])
-    for m, t0, e in zip(ms, starts, inverted):
+    for m, n0, e in zip(ms, starts, inverted):
         if e and min(e) < 0:
             j = e.index(min(e))
-            raise InvariantError(f"negative inverted sixfold {e[j]} for d1 = {m} at p={p}, t={t0 + j * m * m}")
+            raise InvariantError(f"negative inverted sixfold {e[j]} for d1 = {m} at p={p}, t={top - n0 - j * m * m}")
     return _Rows(p, divs, starts, h, inverted)
 
 
 def _tally(rows: _Rows) -> StructureTally:
     p = rows.p
-    entries = sorted(
-        (t0 + j * m * m, m, e)
-        for (m, *_), t0, row in zip(rows.divisors, rows.starts, rows.inverted)
+    counts = {
+        GroupShape(m, n0 // (m * m) + j): (p - 1) * e // 12
+        for (m, *_), n0, row in zip(rows.divisors, rows.starts, rows.inverted)
         for j, e in enumerate(row)
         if e
-    )
-    return StructureTally(
-        p, {GroupShape(m, (p + 1 - t) // (m * m)): (p - 1) * e // 12 for t, m, e in entries}
-    )
+    }
+    return StructureTally(p, counts)
 
 
 def tally_structures(p: int) -> StructureTally:
     """Exact tally of group shapes over all p^2 - p nonsingular models.
 
-    The models with d1 exactly m at trace t number (p-1) E_m/12, E_m the
-    inverted row m of ``_inverted_rows`` at t; they have the shape
-    (m, N/m^2), N = p + 1 - t.  The class numbers come from one
+    The models of shape (m, N/m^2) number (p-1) E_m/12, E_m the inverted
+    row m of ``_inverted_rows`` at the order N, so row by row they come out
+    in ascending d1 and d2.  The class numbers come from one
     ``arith.hurwitz_sixfolds`` pass.
     """
     return _tally(_inverted_rows(p))
@@ -263,15 +262,13 @@ class TallyAverages(NamedTuple):
 
 
 def _averages(rows: _Rows, taus: list[int] | None = None) -> TallyAverages:
+    """Every average at p from the rows as stored, each tau(N/q) a strided
+    slice of ``taus`` = (tau(1), tau(2), ...) or of a window sieved per q."""
     p = rows.p
     lo, hi = hasse_window(p)
     stats = {m: rest for m, *rest in rows.divisors}
-    # (m, E_m in ascending N, the least N of the row) for every row with a trace
-    live = [
-        (m, e[::-1], p + 1 - t0 - (len(e) - 1) * m * m)
-        for (m, *_), t0, e in zip(rows.divisors, rows.starts, rows.inverted)
-        if e
-    ]
+    # (m, E_m, the least N of the row) for every row with a trace
+    live = [(m, e, n0) for (m, *_), n0, e in zip(rows.divisors, rows.starts, rows.inverted) if e]
     # (tau(first), tau(first + 1), ...), first) for each q that divides an argument
     if taus is None:
         qs = {q for m, _, _ in live for k in stats if m % k == 0 for q in (k, m * k)}
@@ -304,7 +301,7 @@ def _averages(rows: _Rows, taus: list[int] | None = None) -> TallyAverages:
             c_corr += tau_mk * psm * corr
             c_print += tau_mk * psm * prnt
     vals, first = windows[1]
-    tau_n = sum(map(operator.mul, rows.h[::-1], vals[lo - first : hi - first + 1]))
+    tau_n = sum(map(operator.mul, rows.h, vals[lo - first : hi - first + 1]))
     return TallyAverages(
         *(Fraction(v, 12 * p) for v in (s_corr, s_print, c_corr, c_print, tau_n)),
         Fraction(1),  # _inverted_rows checked sum_t 6H(4p - t^2) = 12p

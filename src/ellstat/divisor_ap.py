@@ -145,15 +145,16 @@ def delta_window(A: float, B: float, a: int = 0, q: int = 1) -> float:
 
 
 def _window_deltas(A: int, B: int, q: int) -> list[float]:
-    """Delta(A, B, a, q) for every residue a, from one sieve pass; 1 <= A < B."""
+    """Delta(A, B, a, q) for every residue a, from one sieve pass; 1 <= A < B.
+    Residue a reads the main term of g = gcd(a, q), as c_k(a) = c_k(g) for k | q."""
     _check_window(A, B)
     vals = tau_window(A + 1, B)
     ks = divisors(q)
-    out = []
-    for a in range(q):
-        row = [(k, ramanujan_sum(k, a)) for k in ks]
-        out.append(sum(vals[(a - A - 1) % q :: q]) - (_main_term(B, q, row) - _main_term(A, q, row)))
-    return out
+    main = {}
+    for g in ks:
+        row = [(k, ramanujan_sum(k, g)) for k in ks]
+        main[g] = _main_term(B, q, row) - _main_term(A, q, row)
+    return [sum(vals[(a - A - 1) % q :: q]) - main[math.gcd(a, q)] for a in range(q)]
 
 
 def mean_square_experiment(A: float, B: float, q: int) -> MeanSquareResult:

@@ -478,6 +478,10 @@ def printed_main_term_components(p: int, stat: str, k_factor: str) -> dict[int, 
     return out
 
 
+# the expansion reads each level's moments once per d1; production reads each once
+_moments = lru_cache(maxsize=1 << 16)(_local_moments)
+
+
 def c_local_components(p: int, stat: str) -> dict[int, float]:
     """Per-d1 terms of the "C_local" main term at mass 1 (no enumeration).
 
@@ -498,7 +502,7 @@ def c_local_components(p: int, stat: str) -> dict[int, float]:
         prod = Fraction(1)
         shift = 0.0
         for (ell, e), x in zip(fac, xs):
-            ef, enf = _local_moments(ell, e, x, stat)
+            ef, enf = _moments(ell, e, x, stat)
             prod *= ef
             shift += math.log(ell) * float(enf / ef)
         out[d1] = generic * float(prod) * (log_sum - shift)

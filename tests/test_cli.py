@@ -210,6 +210,20 @@ def test_sweep_gnuplot_unwritable_exit_2(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 7
 
 
+def test_sweep_gnuplot_script_plots_half_mass_averages(tmp_path, capsys):
+    """1.053 is the through-origin slope of the corrected s averages at half
+    mass against log p, so the script plots column 3 halved against it."""
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--xmax", "20", "--out", str(out), "--gnuplot"]) == 0
+    assert capsys.readouterr().out == f"wrote {out}.gp\nwrote {out} (6 rows)\n"
+    assert (tmp_path / "x.csv.gp").read_text() == (
+        'set datafile separator ","\n'
+        f'plot "{out}" using (log($1)):($3/2) with points title "avg s corrected, half mass", '
+        '1.053*x title "1.053 log x"\n'
+    )
+    assert out.read_text().splitlines()[0].split(",")[2] == "avg_s_corrected"
+
+
 def test_sweep_unwritable_out_exits_before_the_averages(tmp_path, capsys, monkeypatch):
     def refuse(xmax):
         raise AssertionError("averages computed")
@@ -537,6 +551,26 @@ def test_normalization_golden_outputs(capsys):
         "1009,12.7033366369,15.6818632309,25.3604564555,12.6802282278,30.7376032649,15.3688016324,"
         "0.99636183629,0.61718388192,0.00181908185504,0.19140805904,"
         "1.41964801401,0.960073418078,0.209824007005,0.0199632909612\n"
+    )
+
+
+def test_schoof_count_golden_outputs(tmp_path, capsys):
+    # recorded while the rows of Schoof's count were still indexed by trace
+    digests = {
+        ("brute", "--p", "999983", "--stats", "s,c,tau,one", "--tally"): (
+            "dbc2a7ae2f3df9bfcd4d985ee2f68ba383c88cf396134c44bd12554c1122ecf5"
+        ),
+        ("brute", "--p", "720007", "--stats", "s,c,tau,one", "--tally", "--formula", "printed"): (
+            "8eafd476d843e6b29611defce600f663de16964cb1f869b8528e62f335fe25a5"
+        ),
+        ("compare", "--p", "982801,720007"): "c00912e56c5f0323ffd2c84b3f75ae2401e43a5704631363147830fd97712b5c",
+    }
+    for args, digest in digests.items():
+        assert hashlib.sha256(_stdout(capsys, *args).encode()).hexdigest() == digest, args
+    out = tmp_path / "sweep.csv"
+    _stdout(capsys, "sweep", "--xmax", "10000", "--out", str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "b6bef6b272ffe5ecfdad04b22afe1e8fdebad47d2835438162821f159a9951f1"
     )
 
 

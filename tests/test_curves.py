@@ -186,12 +186,22 @@ def test_full_level_n_model_counts():
 def test_tally_from_hurwitz_table_matches_table_free_tally():
     """The rows the sweep reads from its shared class-number table against
     the rows one prime reads from its own pass, and the tally they give
-    against the per-trace reference, dict order included."""
+    against the per-trace reference in shape order, dict order included."""
     table = hurwitz_table(4 * 1999)
     for p in primes_up_to(1999)[2:]:
         rows = curves._inverted_rows(p, table)
         assert rows == curves._inverted_rows(p), p
-        assert list(curves._tally(rows).counts.items()) == list(_reference_counts(p).items()), p
+        assert list(curves._tally(rows).counts.items()) == sorted(_reference_counts(p).items()), p
+
+
+def test_row_starts_are_the_least_multiples_in_the_window():
+    """Entry 0 of row m is the least multiple of m^2 that is at least the
+    least order of the Hasse window, for every m | p-1 that holds a row."""
+    for p in primes_up_to(2999)[2:]:
+        lo = hasse_window(p)[0]
+        ms = [m for m, *_ in curves._row_divisors(p)]
+        expected = [next(n for n in range(lo, lo + m * m) if n % (m * m) == 0) for m in ms]
+        assert curves._row_starts(p, ms) == expected, p
 
 
 def test_sweep_averages_match_single_prime_averages():
@@ -213,14 +223,15 @@ def test_hasse_window_matches_hasse_admissible():
 
 
 def test_tally_is_its_counts():
-    """Two fields; shapes in ascending trace and then d1, every count >= 1."""
+    """Two fields; shapes in ascending d1 and then d2, every trace of the
+    Hasse window present, every count >= 1."""
     p = 73
     tally = tally_structures(p)
     assert [f.name for f in dataclasses.fields(StructureTally)] == ["p", "counts"]
     assert type(tally.counts) is dict
-    keys = [(p + 1 - sh.order, sh.d1) for sh in tally.counts]
+    keys = [(sh.d1, sh.d2) for sh in tally.counts]
     assert keys == sorted(keys)
-    assert sorted({t for t, _ in keys}) == list(range(-17, 18))
+    assert sorted({p + 1 - sh.order for sh in tally.counts}) == list(range(-17, 18))
     assert min(tally.counts.values()) >= 1
     assert sum(tally.counts.values()) == tally.total() == p * p - p
 

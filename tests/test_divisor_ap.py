@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from ellstat import divisor_ap
+from ellstat.arith import divisors, ramanujan_sum
+from ellstat.cli import main
 from ellstat.divisor_ap import (
     delta_at,
     delta_window,
@@ -108,6 +110,25 @@ def test_mean_square_boundary_takes_max():
     short = math.sqrt(k) / 5 * (B**3 / A) ** 0.25
     long_ = k ** (4 / 3) / 5 ** (4 / 3) * (B / A) ** (1 / 3)
     assert r.envelope == max(short, long_)
+
+
+def test_window_deltas_read_the_main_term_by_gcd(monkeypatch, capsys):
+    """One row of Ramanujan sums per divisor g = gcd(a, q), tau(q)^2 calls in
+    all, and the same output as one row per residue gave."""
+    calls = []
+
+    def counted(k, a):
+        calls.append((k, a))
+        return ramanujan_sum(k, a)
+
+    monkeypatch.setattr(divisor_ap, "ramanujan_sum", counted)
+    argv = ["divap", "mean-square", "--A", "10000000", "--B", "10003163", "--q", "2520"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "lhs,289.806748029\nenvelope,1.35407893947\nratio,214.025002222\n"
+    assert len(calls) == len(divisors(2520)) ** 2 == 48**2
+    A, B, q = 10000, 10200, 12
+    deltas = divisor_ap._window_deltas(A, B, q)
+    assert deltas == pytest.approx([delta_window(A, B, a, q) for a in range(q)], abs=1e-9)
 
 
 def test_mean_square_domain_errors():
