@@ -116,13 +116,9 @@ _GENERIC_LOG_SUM = 1.2167634357266494
 
 def cyclicity_probability(p: int) -> Fraction:
     """prod_{l | p-1} (1 - 1/(l(l^2-1))): the asymptotic probability that
-    E(F_p) is cyclic, the product of the level-0 Euler factors.  Depends
-    only on rad(p - 1)."""
-    require_p(p)
-    out = Fraction(1)
-    for ell, _ in factorize(p - 1):
-        out *= _euler_factor_at(p, ell, 0)
-    return out
+    E(F_p) is cyclic, the Euler product at d1 = 1.  Depends only on
+    rad(p - 1)."""
+    return euler_product(p, 1)
 
 
 def _euler_factor_at(p: int, ell: int, v: int) -> Fraction:
@@ -139,7 +135,6 @@ def _euler_factor_at(p: int, ell: int, v: int) -> Fraction:
     return E
 
 
-# Kept for perfbench, which times it as a span (spans.TARGETS); the CLI never calls it.
 def local_factor(p: int, d1: int, ell: int) -> Fraction:
     """Exact Euler factor of the main term at the prime ell for d1 | p - 1.
 
@@ -155,12 +150,15 @@ def local_factor(p: int, d1: int, ell: int) -> Fraction:
     return _euler_factor_at(p, ell, valuation(d1, ell))
 
 
-# Kept for perfbench, which times it as a span (spans.TARGETS); the CLI never calls it.
 def euler_product(p: int, d1: int) -> Fraction:
-    """prod_l local_factor(p, d1, l); finite, supported on l | p - 1."""
+    """prod_l local_factor(p, d1, l); finite, supported on l | p - 1.  The
+    arguments are checked once, not once per l."""
+    require_p(p)
+    if d1 < 1 or (p - 1) % d1:
+        raise DomainError(f"d1={d1} does not divide p-1={p - 1}")
     out = Fraction(1)
     for ell, _ in factorize(p - 1):
-        out *= local_factor(p, d1, ell)
+        out *= _euler_factor_at(p, ell, valuation(d1, ell))
     return out
 
 

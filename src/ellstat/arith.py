@@ -6,6 +6,10 @@ Every function here returns exact integers; floating point never enters
 these kernels.  The production paths read phi and phi*mu in their
 prime-power forms; the tests read tau, sigma, phi, mu and phi*mu of a whole
 integer from ``multiplicative_suite`` in ``tests/oracles.py``.
+
+The module keeps no state that grows: ``factorize`` trial-divides by one
+tuple of the primes up to 1021, sieved at import, and hands any larger
+cofactor to Brent rho.
 """
 
 from __future__ import annotations
@@ -15,11 +19,6 @@ import math
 from collections.abc import Iterable
 
 from .errors import DomainError
-
-_TRIAL_LIMIT = 100_000  # factorize trial-divides up to here; rho takes the rest
-# (bound, every prime <= bound), replaced whole so that a reader never pairs
-# a bound with a shorter list
-_trial: tuple[int, list[int]] = (0, [])
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -32,6 +31,10 @@ def primes_up_to(limit: int) -> list[int]:
         if sieve[i]:
             sieve[i * i :: i] = bytes((limit - i * i) // i + 1)
     return list(itertools.compress(range(limit + 1), sieve))
+
+
+#: factorize's trial divisors: the 172 primes up to 1021, the largest below 2^10
+_TRIAL_PRIMES = tuple(primes_up_to(1 << 10))
 
 
 def is_prime(n: int) -> bool:
@@ -86,22 +89,17 @@ def _rho_factor(n: int) -> int:
 def factorize(n: int) -> list[tuple[int, int]]:
     """Canonical factorization of n >= 1 as ascending (prime, exponent) pairs.
 
-    n = 1 gives []; n = 0 is a domain error.  Trial division by the cached
-    primes up to a bound B >= min(isqrt(n), 100 000), grown in powers of two
-    from 1024: a cofactor m <= B^2 left over is prime, and only a larger one
-    (possible once n > 10^10) goes to deterministic Brent rho.
+    n = 1 gives []; n = 0 is a domain error.  Trial division by the fixed
+    table of the 172 primes up to 1021 leaves a cofactor m with no prime
+    factor below 1031: m < 2^20 < 1031^2 is 1 or prime, and a larger m (a
+    prime, a prime power or a product of primes >= 1031) is split by
+    Miller-Rabin, the square check and deterministic Brent rho.
     """
-    global _trial
     if n <= 0:
         raise DomainError(f"factorize requires n >= 1, got {n}")
-    bound, primes = _trial
-    if n > bound * bound and bound < _TRIAL_LIMIT:
-        bound = min(max(1 << 10, 1 << math.isqrt(n).bit_length()), _TRIAL_LIMIT)
-        primes = primes_up_to(bound)
-        _trial = bound, primes
     out: list[tuple[int, int]] = []
     m = n
-    for p in primes:
+    for p in _TRIAL_PRIMES:
         if m % p:
             if p * p > m:
                 break
@@ -111,12 +109,10 @@ def factorize(n: int) -> list[tuple[int, int]]:
             m //= p
             e += 1
         out.append((p, e))
-    if m <= bound * bound:
+    if m < 1 << 20:
         if m > 1:
             out.append((m, 1))
         return out
-    # no prime <= _TRIAL_LIMIT divides m: prime, prime power, or a product
-    # of large primes, all above those already found
     rest: list[int] = []
     stack = [m]
     while stack:

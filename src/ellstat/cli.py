@@ -216,22 +216,14 @@ def cmd_compare(args: argparse.Namespace) -> None:
     print(",".join(COMPARE_HEADER))
     for p in ps:
         averages = curves.weighted_averages(p)
-        brute = {
-            "corr": float(averages.select(stat, "corrected")),
-            "printed": float(averages.select(stat, "printed")),
-        }
-        mts = {}
+        brute = [float(averages.select(stat, f)) for f in ("corrected", "printed")]
+        mts = []
         for k in ("A_unit", "B_inverse"):
+            half = analytic.main_term(p, stat, k_factor=k)
             # the printed archimedean factor has mass 2; doubling is exact in floating point
-            mts[(k, "half")] = analytic.main_term(p, stat, k_factor=k)
-            mts[(k, "paper")] = 2 * mts[(k, "half")]
-        row = [str(p), _fmt(brute["corr"]), _fmt(brute["printed"])]
-        row += [_fmt(mts[(k, n)]) for k in ("A_unit", "B_inverse") for n in ("paper", "half")]
-        for k in ("A_unit", "B_inverse"):
-            for n in ("paper", "half"):
-                for f in ("corr", "printed"):
-                    row.append(_fmt(abs(mts[(k, n)] - brute[f]) / brute[f]))
-        print(",".join(row))
+            mts += [2 * half, half]
+        rel = [abs(m - b) / b for m in mts for b in brute]
+        print(",".join([str(p)] + [_fmt(v) for v in brute + mts + rel]))
 
 
 # ----------------------------------------------------------------------

@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
     origin: str  # the change that first ran it
 
 
+_ARITH = "src/ellstat/arith.py"
 _CURVES = "src/ellstat/curves.py"
 _TEST_CURVES = "tests/test_curves.py"
 
@@ -125,6 +126,62 @@ MUTANTS = (
         "lo // (m * m) * m * m",
         (f"{_TEST_CURVES}::test_row_starts_are_the_least_multiples_in_the_window",),
         "Schoof's count indexed by the group order",
+    ),
+    Mutant(
+        "sixfolds-interior-weight-6",
+        _ARITH,
+        "six[D] += 6 if b == 0 or b == a else 12",
+        "six[D] += 6 if b == 0 or b == a else 6",
+        (f"{_TEST_CURVES}::test_trace_sixfolds_match_per_trace_scan",),
+        "472e2b6 One sparse class-number kernel for single tallies",
+    ),
+    Mutant(
+        "sixfolds-no-c-equals-a-term",
+        _ARITH,
+        "six[D] += 3 if b == 0 else 2 if b == a else 6",
+        "six[D] += 0",
+        (f"{_TEST_CURVES}::test_trace_sixfolds_match_per_trace_scan",),
+        "472e2b6 One sparse class-number kernel for single tallies",
+    ),
+    Mutant(
+        "table-interior-weight-6",
+        _ARITH,
+        "weight = 6 if b == 0 or b == a else 12",
+        "weight = 6 if b == 0 or b == a else 6",
+        ("tests/test_arith.py::test_hurwitz_table_matches_per_value",),
+        "dd32b2f Sweep from one Hurwitz class-number table",
+    ),
+    Mutant(
+        "negativity-bound-minus-1",
+        _CURVES,
+        "if e and min(e) < 0:",
+        "if e and min(e) < -1:",
+        (f"{_TEST_CURVES}::test_negative_inverted_row_raises",),
+        "767838c Averages and tallies from inverted class-number rows",
+    ),
+    Mutant(
+        "sweep-tau-table-short",
+        _CURVES,
+        "tau_window(1, top + 1 + math.isqrt(4 * top))",
+        "tau_window(1, top + math.isqrt(4 * top))",
+        (f"{_TEST_CURVES}::test_sweep_averages_match_single_prime_averages",),
+        "95371d3 Schoof's count takes a prime",
+    ),
+    Mutant(
+        "integrality-mod-6",
+        _CURVES,
+        "math.gcd(*chain.from_iterable(rows)) % 12",
+        "math.gcd(*chain.from_iterable(rows)) % 6",
+        (f"{_TEST_CURVES}::test_non_integral_row_raises",),
+        "767838c Averages and tallies from inverted class-number rows",
+    ),
+    Mutant(
+        "factorize-cofactor-bound-2-21",
+        _ARITH,
+        "if m < 1 << 20:",
+        "if m < 1 << 21:",
+        ("tests/test_arith.py::test_factorize_at_the_table_edge",),
+        "factorize keeps no cache",
     ),
 )
 

@@ -102,8 +102,8 @@ def test_factorize_examples():
 
 
 def test_factorize_large_paths():
-    # cofactors beyond the trial-division cap of 100 000: rho, the square
-    # check and Miller-Rabin all exercised
+    # cofactors far above the trial table: rho, the square check and
+    # Miller-Rabin all exercised
     n = 10_000_019 * 10_000_079
     assert factorize(n) == [(10_000_019, 1), (10_000_079, 1)]
     assert factorize(2**25) == [(2, 25)]
@@ -112,30 +112,30 @@ def test_factorize_large_paths():
 
 
 def test_factorize_at_the_cap():
-    # 99991 is the largest prime below the cap, 100003 the smallest above
+    # 99991 and 100003, the primes either side of 10^5: their products have
+    # no factor in the trial table, so rho and the square check split them
     assert factorize(99_991**2) == [(99_991, 2)]
     assert factorize(100_003**2) == [(100_003, 2)]
     assert factorize(99_991 * 100_003) == [(99_991, 1), (100_003, 1)]
     assert factorize(2 * 99_991 * 100_003) == [(2, 1), (99_991, 1), (100_003, 1)]
 
 
-def test_factorize_at_each_growth_step(monkeypatch):
-    # from an empty prime list: q^2, q the first prime above a bound B =
-    # 2^10 .. 2^16 or the cap, grows the list to min(2B, cap); products of
-    # q and the next prime r, factored at that bound, leave a prime cofactor
-    monkeypatch.setattr(arith, "_trial", (0, []))
-    assert factorize(1000) == [(2, 3), (5, 3)]
-    assert arith._trial[0] == 1 << 10
-    for B in [1 << k for k in range(10, 17)] + [100_000]:
-        q = next(n for n in range(B + 1, 2 * B) if is_prime(n))
-        r = next(n for n in range(q + 1, 2 * q) if is_prime(n))
-        assert factorize(q) == [(q, 1)]
-        assert factorize(q * q) == [(q, 2)]
-        assert arith._trial[0] == min(2 * B, 100_000)
-        assert factorize(q * r) == [(q, 1), (r, 1)]
-        assert factorize(2 * q * r) == [(2, 1), (q, 1), (r, 1)]
-        assert arith._trial[0] == min(2 * B, 100_000)
-    assert len(arith._trial[1]) == 9592
+def test_factorize_at_the_table_edge():
+    # 1021 is the last prime of the trial table and 1031 the next prime, so
+    # a cofactor below 2^20 < 1031^2 is prime and 1031 * 1033 is the least
+    # composite that rho must split
+    assert arith._TRIAL_PRIMES[-1] == 1021 and len(arith._TRIAL_PRIMES) == 172
+    assert factorize(1009 * 1013) == [(1009, 1), (1013, 1)]
+    assert factorize(1021**2) == [(1021, 2)]
+    assert factorize(1021 * 1031) == [(1021, 1), (1031, 1)]
+    assert factorize(1031 * 1033) == [(1031, 1), (1033, 1)]
+    assert factorize(1031**3) == [(1031, 3)]
+    assert factorize(2 * 1031 * 1033) == [(2, 1), (1031, 1), (1033, 1)]
+    for n in range((1 << 20) - 2000, (1 << 20) + 2001):
+        fac = factorize(n)
+        assert math.prod(p**e for p, e in fac) == n
+        assert all(is_prime(p) for p, _ in fac)
+        assert [p for p, _ in fac] == sorted({p for p, _ in fac})
 
 
 @given(st.integers(min_value=1, max_value=10**6))

@@ -395,15 +395,16 @@ def test_negative_inverted_row_raises():
 
 
 def test_non_integral_row_raises():
-    """p - 1 = 1018 is not a multiple of 12, so a row-2 sixfold one too
-    large gives a fractional model count."""
-    p = 1019
-    six = hurwitz_table(4 * p)
-    D = 4 * p // 4  # t = 0, N = 1020: row 2
-    assert D not in {4 * p - s * s for s in range(64)}
-    six[D] += 1
-    with pytest.raises(InvariantError, match="non-integral"):
-        curves._inverted_rows(p, six)
+    """p - 1 is not a multiple of 12, so a row-2 sixfold one too large gives
+    a fractional model count.  At p = 1039 = 7 (mod 12), p - 1 = 1038 is a
+    multiple of 6, so only the full modulus 12 sees it."""
+    for p in (1019, 1039):
+        six = hurwitz_table(4 * p)
+        D = 4 * p // 4  # t = 0, N = p + 1 = 0 (mod 4): row 2
+        assert D not in {4 * p - s * s for s in range(64)}
+        six[D] += 1
+        with pytest.raises(InvariantError, match=f"non-integral model count \\(p-1\\) 6H/12 at p={p}"):
+            curves._inverted_rows(p, six)
 
 
 def test_brute_tally_builds_the_rows_once(monkeypatch, capsys):

@@ -78,3 +78,10 @@ def unreached(src: pathlib.Path = SRC) -> list[tuple[str, str]]:
 def test_every_function_is_reached_by_a_command_or_the_api():
     assert unreached() == []
 
+
+def test_no_module_holds_a_global_or_nonlocal_statement():
+    """No function of the package rebinds a module or enclosing name: no state
+    grows on demand behind a ``global`` or ``nonlocal`` statement."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert not isinstance(node, (ast.Global, ast.Nonlocal)), (path.name, node.lineno)
