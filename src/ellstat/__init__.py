@@ -22,7 +22,7 @@ from .densities import f_ell, f_ell_closed, f_infty, f_p_local, g_sum, probabili
 from .divisor_ap import delta_window, dirichlet_main, mean_square_experiment, tau_sum_window
 from .errors import BudgetError, DomainError, InvariantError
 from .groups import GroupShape, stat_on_shape
-from .analytic import cyclicity_probability, estimate_average_slope, local_factor, main_term
+from .analytic import average_slope, cyclicity_probability, local_factor, main_term
 
 __all__ = [
     "BudgetError",
@@ -30,12 +30,12 @@ __all__ = [
     "GroupShape",
     "InvariantError",
     "StructureTally",
+    "average_slope",
     "cyclicity_probability",
     "delta_window",
     "dirichlet_main",
     "divisors",
     "empirical_probability",
-    "estimate_average_slope",
     "f_ell",
     "f_ell_closed",
     "f_infty",

@@ -1,6 +1,7 @@
 """Numerical evaluation of the analytic main term for the weighted average
 number of (cyclic) subgroups of elliptic-curve groups over F_p, together
-with the cyclicity constant and the prime-averaged slope constant.
+with the cyclicity constant and the prime-averaged slope constant, an
+Euler product of one closed-form rational per prime (``average_slope``).
 
 Three forms of the main term are selected by ``k_factor`` (the tuple
 ``K_FACTORS``).  "A_unit" and "B_inverse" are the printed divisor-sum form,
@@ -80,7 +81,6 @@ k | d1^2/u) are the tests' oracles in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
@@ -239,40 +239,34 @@ def _local_moments(ell: int, e: int, x: int, stat: str) -> tuple[Fraction, Fract
 # prime-averaged slope constant
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SlopeEstimate:
-    value: float
-    x_max: int
-    m_max: int
-    stat: str
+#: average_slope's product runs over the primes up to this bound.
+_SLOPE_PRIMES = 10**5
 
 
-def estimate_average_slope(x_max: int, m_max: int, stat: str = "s") -> SlopeEstimate:
-    """Truncated evaluation of the constant governing the prime-averaged
-    growth (average of the weighted subgroup count over p <= x grows like
-    C * log x).
+def _slope_factor(ell: int, stat: str) -> Fraction:
+    """E[h_l] - 1 exactly (``average_slope``): l^2/((l^2-1)^2 (l^2-l+1)) for s, 0 for c."""
+    if stat == "c":
+        return Fraction(0)
+    return Fraction(ell * ell, (ell * ell - 1) ** 2 * (ell * ell - ell + 1))
 
-    C is the mean over primes p of the log p coefficient H of the "C_local"
-    main term.  H depends on p only through e_l = v_l(p - 1) (its l = p
-    factor tends to 1), and e_l = e has density (l-2)/(l-1) for e = 0 and
-    l^-e for e >= 1, independently across l, so
 
-        C = zeta(2)zeta(3)/zeta(6) * prod_l [ (l-2)/(l-1)
-            + sum_{e >= 1} l^-e sum_x (1 - 1/l) E_l[f 1_x] / (1 + 1/(l(l-1))) ].
+def average_slope(stat: str = "s") -> float:
+    """The constant C of the prime-averaged growth: the average of the
+    weighted statistic over p <= x grows like C log x.
 
-    Truncations: primes l <= x_max and e <= m_max; both are echoed in the
-    result.  The product is taken in floating point.
+    C is the mean over primes p of the log p coefficient of the "C_local"
+    main term, whose local factor h_l = (1 - 1/l) E_l[f_l] / (1 + 1/(l(l-1)))
+    depends on p only through e = v_l(p - 1).  With e = 0 (where h_l = 1) of
+    density (l-2)/(l-1) and e >= 1 of density l^-e, independently across l,
+    C = zeta(2)zeta(3)/zeta(6) prod_l E[h_l].  The levels x < e share one law
+    and x = e has its own, both l^(-3x) times constants
+    (``densities.frobenius_law``), and f = f0 + beta*k on a level, so the sum
+    over e and x is geometric and E[h_l] is one rational (``_slope_factor``).
+
+    The product runs over l <= 10^5; each omitted log E[h_l] is below
+    1.0001 l^-4, so the omitted factor is below 1 + 3.4e-16.
     """
     if stat not in ("s", "c"):
         raise DomainError(f"stat must be 's' or 'c', got {stat!r}")
-    total = _GENERIC_PRODUCT
-    for ell in primes_up_to(x_max):
-        generic = 1 + 1 / (ell * (ell - 1))
-        mean = (ell - 2) / (ell - 1)
-        below = 0.0  # sum over levels x < e, whose law is the same for all e > x
-        for e in range(1, m_max + 1):
-            below += float(_local_moments(ell, e, e - 1, stat)[0])
-            top = float(_local_moments(ell, e, e, stat)[0])
-            mean += ell**-e * (below + top) / generic
-        total *= mean
-    return SlopeEstimate(total, x_max, m_max, stat)
+    logs = (math.log1p(float(_slope_factor(ell, stat))) for ell in primes_up_to(_SLOPE_PRIMES))
+    return _GENERIC_PRODUCT * math.exp(math.fsum(logs))

@@ -70,9 +70,9 @@ class StructureTally:
     """Exact count of nonsingular models per group shape Z/d1 x Z/(d1*d2) for
     one prime, in ascending d1 and then ascending d2.
 
-    Construction checks the tally: a d1 that does not divide p-1, an order
-    outside the Hasse interval, a count below 1 or a mass other than p(p-1)
-    raises ``InvariantError``.
+    Construction checks p (``require_p``), then the tally: a d1 that does not
+    divide p-1, an order outside the Hasse interval, a count below 1 or a
+    mass other than p(p-1) raises ``InvariantError``.
     """
 
     p: int
@@ -80,6 +80,7 @@ class StructureTally:
 
     def __post_init__(self) -> None:
         p = self.p
+        require_p(p)
         lo, hi = hasse_window(p)
         for (d1, d2), models in self.counts.items():
             if d1 < 1 or (p - 1) % d1 or not lo <= d1 * d1 * d2 <= hi:

@@ -116,6 +116,7 @@ def dirichlet_main(X: float, a: int = 0, q: int = 1) -> float:
 
     with c_k the Ramanujan sum.
     """
+    _require_finite(X=X)
     _check_modulus(q)
     return _main_term(X, q, [(k, ramanujan_sum(k, a)) for k in divisors(q)])
 

@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
     origin: str  # the change that first ran it
 
 
+_ANALYTIC = "src/ellstat/analytic.py"
 _ARITH = "src/ellstat/arith.py"
 _CURVES = "src/ellstat/curves.py"
 _TEST_CURVES = "tests/test_curves.py"
@@ -182,6 +183,25 @@ MUTANTS = (
         "if m < 1 << 21:",
         ("tests/test_arith.py::test_factorize_at_the_table_edge",),
         "factorize keeps no cache",
+    ),
+    Mutant(
+        "slope-factor-plus-ell",
+        _ANALYTIC,
+        "(ell * ell - 1) ** 2 * (ell * ell - ell + 1)",
+        "(ell * ell - 1) ** 2 * (ell * ell + ell + 1)",
+        ("tests/test_analytic.py::test_slope_factor_matches_truncated_oracle",),
+        "The prime-averaged slope in closed form",
+    ),
+    Mutant(
+        "slope-factor-s-for-c",
+        _ANALYTIC,
+        'if stat == "c":',
+        "if False:",
+        (
+            "tests/test_analytic.py::test_slope_factor_matches_truncated_oracle",
+            "tests/test_analytic.py::test_average_slope_values",
+        ),
+        "The prime-averaged slope in closed form",
     ),
 )
 

@@ -27,7 +27,9 @@ Each oracle computes by another route, mostly by enumeration, what
 * the main term expanded over every d1 | p - 1 (``c_local_components``), and
   for the printed forms over every u | d1 and k | d1^2/u as well
   (``printed_main_term_components``), for the product of local sums in
-  ``analytic.main_term``;
+  ``analytic.main_term``, and the prime-averaged slope summed level by level
+  over e <= m_max (``slope_local_mean``, ``truncated_average_slope``) for the
+  closed form of ``analytic.average_slope``;
 * ``subgroup_count`` and ``cyclic_subgroup_count`` for
   ``groups.shape_statistics``, in two flavours, and the lattice enumeration
   ``subgroup_oracle`` that checks both on small groups:
@@ -64,6 +66,7 @@ from ellstat.arith import (
     factorize,
     phi_prime_power,
     phi_star_mu_prime_power,
+    primes_up_to,
     require_p,
     valuation,
 )
@@ -507,6 +510,32 @@ def c_local_components(p: int, stat: str) -> dict[int, float]:
             shift += math.log(ell) * float(enf / ef)
         out[d1] = generic * float(prod) * (log_sum - shift)
     return out
+
+
+def slope_local_mean(ell: int, m_max: int, stat: str) -> Fraction:
+    """E[h_l] over primes p, truncated at e = v_l(p - 1) <= m_max, exactly.
+
+    h_l = (1 - 1/l) E_l[f_l] / (1 + 1/(l(l-1))) is summed level by level
+    from ``_local_moments`` against the densities (l-2)/(l-1) of e = 0 (where
+    h_l = 1) and l^-e of e >= 1; the truncation drops O(l^-m_max).
+    """
+    generic = 1 + Fraction(1, ell * (ell - 1))
+    mean = Fraction(ell - 2, ell - 1)
+    below = Fraction(0)  # sum over levels x < e, whose law is the same for all e > x
+    for e in range(1, m_max + 1):
+        below += _local_moments(ell, e, e - 1, stat)[0]
+        top = _local_moments(ell, e, e, stat)[0]
+        mean += Fraction(1, ell**e) * (below + top) / generic
+    return mean
+
+
+def truncated_average_slope(x_max: int, m_max: int, stat: str) -> float:
+    """The prime-averaged slope as the generic constant times the product of
+    ``slope_local_mean`` over the primes l <= x_max, in floating point."""
+    total = _GENERIC_PRODUCT
+    for ell in primes_up_to(x_max):
+        total *= float(slope_local_mean(ell, m_max, stat))
+    return total
 
 
 

@@ -9,8 +9,9 @@ from ellstat.analytic import (
     _GENERIC_LOG_SUM,
     _GENERIC_PRODUCT,
     _local_moments,
+    _slope_factor,
+    average_slope,
     cyclicity_probability,
-    estimate_average_slope,
     euler_product,
     frobenius_law,
     local_factor,
@@ -28,7 +29,9 @@ from oracles import (
     phi,
     phi_star_mu,
     printed_main_term_components,
+    slope_local_mean,
     tau,
+    truncated_average_slope,
 )
 
 
@@ -344,17 +347,34 @@ def test_main_term_c_local_agrees_with_brute_force():
             assert err < 0.01, (p, stat, err)
 
 
-def test_estimate_average_slope_stabilizes():
-    e1 = estimate_average_slope(60, 8, "s").value
-    e2 = estimate_average_slope(120, 16, "s").value
-    e3 = estimate_average_slope(240, 32, "s").value
+def test_slope_factor_matches_truncated_oracle():
+    # the oracle stops at e <= 40; its shortfall is O(l^-40) and never negative
+    for ell in primes_up_to(239):
+        for stat in ("s", "c"):
+            gap = 1 + _slope_factor(ell, stat) - slope_local_mean(ell, 40, stat)
+            assert 0 <= gap < 2 * Fraction(1, ell**40), (ell, stat, float(gap))
+
+
+def test_average_slope_values():
+    assert average_slope("c") == _GENERIC_PRODUCT
+    assert average_slope("s") == pytest.approx(2.28252605995336, rel=1e-14)
+    assert average_slope() == average_slope("s")
+    with pytest.raises(DomainError):
+        average_slope("tau")
+
+
+def test_truncated_slope_oracle_stabilizes():
+    e1 = truncated_average_slope(60, 8, "s")
+    e2 = truncated_average_slope(120, 16, "s")
+    e3 = truncated_average_slope(240, 32, "s")
     assert abs(e3 - e2) < abs(e2 - e1)
+    assert abs(average_slope("s") - e3) < abs(average_slope("s") - e2)
     # positive and sane at archimedean mass 2 as at mass 1
-    assert 2 * estimate_average_slope(60, 8, "s").value > 1
-    assert estimate_average_slope(60, 8, "c").value <= estimate_average_slope(60, 8, "s").value
+    assert 2 * e1 > 1
+    assert truncated_average_slope(60, 8, "c") <= e1
 
 
-def test_estimate_average_slope_is_mean_log_coefficient():
+def test_average_slope_is_mean_log_coefficient():
     # the constant is the mean over primes of the log p coefficient
     # H = prod_{l != p} (1 - 1/l) E_l[f_l] of the C_local main term
     ps = [p for p in primes_up_to(2423) if p >= 5]
@@ -368,5 +388,5 @@ def test_estimate_average_slope_is_mean_log_coefficient():
                 h *= float(sum(_local_moments(ell, e, x, stat)[0] for x in range(e + 1)))
             total += h
         mean = total / len(ps)
-        est = estimate_average_slope(240, 32, stat).value
+        est = average_slope(stat)
         assert abs(est - mean) < 0.005 * mean, (stat, est, mean)

@@ -254,6 +254,9 @@ def test_tampered_tally_raises():
         with pytest.raises(InvariantError, match=match):
             StructureTally(p, {**counts, **update})
     assert StructureTally(p, dict(counts)).counts == counts
+    for bad in (0, 4, 9):  # refused before the window or the mass is read
+        with pytest.raises(DomainError, match=f"need a prime p >= 5, got {bad}"):
+            StructureTally(bad, {})
 
 
 def test_tally_examples():

@@ -63,6 +63,12 @@ def test_dirichlet_main_examples():
     assert dirichlet_main(X) == pytest.approx(24.5702, abs=1e-4)
 
 
+def test_dirichlet_main_refuses_non_finite_x():
+    for X in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="X must be finite"):
+            dirichlet_main(X)
+
+
 def test_dirichlet_main_residue_sum():
     X, q = 10**5, 12
     total = sum(dirichlet_main(X, a, q) for a in range(q))
